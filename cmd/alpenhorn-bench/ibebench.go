@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"alpenhorn/internal/bls"
 	"alpenhorn/internal/bn254"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/wire"
@@ -42,6 +43,14 @@ type ibeBenchRecord struct {
 	Scan24kBatchProjSec   float64 `json:"sec_per_24k_mailbox_scan_batched_4core_proj"`
 	Scan24kMeasSec        float64 `json:"sec_per_24k_mailbox_scan_measured"`
 	ScanWorkers           int     `json:"scan_workers"`
+	// BLS attestation checks (§4.5): the ate Verify against the Tate
+	// pairing check it replaced, and the client's per-round k=3 batched
+	// share check against three Tate Verify calls.
+	BLSVerifyPerSec     float64 `json:"bls_verify_per_sec"`
+	BLSVerifyTatePerSec float64 `json:"bls_verify_tate_per_sec"`
+	BLSVerifyAteSpeedup float64 `json:"bls_verify_ate_speedup"`
+	AttestBatchPerSec   float64 `json:"attest_batch3_per_sec"`
+	AttestBatchSpeedup  float64 `json:"attest_batch_speedup"`
 }
 
 // scanChunk mirrors core.Client.ScanAddFriendRound's DecryptBatch chunk.
@@ -156,6 +165,8 @@ func ibeBench() {
 	g2CombRate := rate(func() { p2.ScalarBaseMult(k) })
 	g2LadderRate := rate(func() { p2.ScalarMult(bn254.G2Generator(), k) })
 
+	verifyRate, verifyTateRate, batchRate3 := blsVerifyRates()
+
 	// Real parallel mailbox scan on the chunked worker pool (what
 	// ScanAddFriendRound runs), measured end to end.
 	workers := runtime.GOMAXPROCS(0)
@@ -202,6 +213,11 @@ func ibeBench() {
 		G2CombPerSec:          g2CombRate,
 		G2LadderPerSec:        g2LadderRate,
 		G2CombSpeedup:         g2CombRate / g2LadderRate,
+		BLSVerifyPerSec:       verifyRate,
+		BLSVerifyTatePerSec:   verifyTateRate,
+		BLSVerifyAteSpeedup:   verifyRate / verifyTateRate,
+		AttestBatchPerSec:     batchRate3,
+		AttestBatchSpeedup:    batchRate3 / (verifyTateRate / attestShares),
 		Scan24kProjSec:        24000 / decRate / 4,
 		Scan24kBatchProjSec:   24000 / batchRate / 4,
 		Scan24kMeasSec:        parallelScan / mailboxSize * 24000,
@@ -215,12 +231,68 @@ func ibeBench() {
 	fmt.Printf("extractions/sec (1 core):              %8.1f   (paper: 4310/sec on 36 cores)\n", rec.ExtractionsPerSec)
 	fmt.Printf("G1 ScalarBaseMult/sec: comb %9.1f vs ladder %9.1f  (%.1fx)\n", rec.G1CombPerSec, rec.G1LadderPerSec, rec.G1CombSpeedup)
 	fmt.Printf("G2 ScalarBaseMult/sec: comb %9.1f vs ladder %9.1f  (%.1fx)\n", rec.G2CombPerSec, rec.G2LadderPerSec, rec.G2CombSpeedup)
+	fmt.Printf("BLS Verify/sec: ate %9.1f vs tate check %9.1f  (%.2fx)\n", rec.BLSVerifyPerSec, rec.BLSVerifyTatePerSec, rec.BLSVerifyAteSpeedup)
+	fmt.Printf("attestation check, %d shares: batched %.1f/sec  (%.2fx over %d tate Verify)\n", attestShares, rec.AttestBatchPerSec, rec.AttestBatchSpeedup, attestShares)
 	fmt.Printf("24k-mailbox scan, 4-core projection: unbatched %6.1f s, batched %6.1f s  (paper: 8 s)\n",
 		rec.Scan24kProjSec, rec.Scan24kBatchProjSec)
 	fmt.Printf("24k-mailbox scan, measured on %d workers: %6.1f s\n", workers, rec.Scan24kMeasSec)
 
 	checkIBEBaseline(rec)
 	writeJSONRecord("ibe-bench", rec)
+}
+
+// attestShares is the PKG count whose attestation shares a client checks
+// per add-friend round in the batched-check rows.
+const attestShares = 3
+
+// blsVerifyRates measures single-core rates of the BLS checks: the ate
+// bls.Verify, the Tate pairing check that Verify ran before it (hash to
+// G1, then e(σ, −G2)·e(H(m), pk) through bn254.TatePairingCheck), and
+// one bls.VerifyBatch over attestShares same-message shares.
+func blsVerifyRates() (ate, tate, batch float64) {
+	msg := []byte("pkg attests bob@example.org at round 42")
+	pubs := make([]*bls.PublicKey, attestShares)
+	sigs := make([]*bls.Signature, attestShares)
+	for i := range pubs {
+		pub, priv, err := bls.GenerateKey(rand.Reader)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pubs[i], sigs[i] = pub, bls.Sign(priv, msg)
+	}
+	var sig bn254.G1
+	var pk bn254.G2
+	if err := sig.Unmarshal(sigs[0].Marshal()); err != nil {
+		log.Fatal(err)
+	}
+	if err := pk.Unmarshal(pubs[0].Marshal()); err != nil {
+		log.Fatal(err)
+	}
+	tateVerify := func() bool {
+		h := bn254.HashToG1("bls-signature", msg) // bls's hash domain
+		negG2 := new(bn254.G2).Neg(bn254.G2Generator())
+		return bn254.TatePairingCheck([]*bn254.G1{&sig, h}, []*bn254.G2{negG2, &pk})
+	}
+	if !tateVerify() || !bls.Verify(pubs[0], msg, sigs[0]) || !bls.VerifyBatch(pubs, msg, sigs) {
+		log.Fatal("ibe-bench: a valid BLS signature failed verification")
+	}
+	// The three checks run interleaved and each rate comes from its
+	// fastest run, so drift in machine speed moves all three alike and
+	// the speedup ratios stay comparable across runs.
+	checks := []func(){
+		func() { bls.Verify(pubs[0], msg, sigs[0]) },
+		func() { tateVerify() },
+		func() { bls.VerifyBatch(pubs, msg, sigs) },
+	}
+	best := []time.Duration{time.Hour, time.Hour, time.Hour}
+	for start := time.Now(); time.Since(start) < 750*time.Millisecond; {
+		for i, check := range checks {
+			t0 := time.Now()
+			check()
+			best[i] = min(best[i], time.Since(t0))
+		}
+	}
+	return 1 / best[0].Seconds(), 1 / best[1].Seconds(), 1 / best[2].Seconds()
 }
 
 func countTrue(bs []bool) int {
@@ -259,9 +331,11 @@ func checkIBEBaseline(fresh ibeBenchRecord) {
 		{"g2_comb_speedup", fresh.G2CombSpeedup, base.G2CombSpeedup},
 		{"batch_scan_speedup", fresh.BatchScanSpeedup, base.BatchScanSpeedup},
 		{"ate_scan_speedup", fresh.AteScanSpeedup, base.AteScanSpeedup},
+		{"bls_verify_ate_speedup", fresh.BLSVerifyAteSpeedup, base.BLSVerifyAteSpeedup},
+		{"attest_batch_speedup", fresh.AttestBatchSpeedup, base.AttestBatchSpeedup},
 	} {
 		if c.base <= 0 {
-			fmt.Printf("  %-20s baseline has no value, skipped\n", c.name)
+			fmt.Printf("  %-22s baseline has no value, skipped\n", c.name)
 			continue
 		}
 		status := "ok"
@@ -269,7 +343,7 @@ func checkIBEBaseline(fresh ibeBenchRecord) {
 			status = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("  %-20s fresh %5.2fx vs baseline %5.2fx   %s\n", c.name, c.fresh, c.base, status)
+		fmt.Printf("  %-22s fresh %5.2fx vs baseline %5.2fx   %s\n", c.name, c.fresh, c.base, status)
 	}
 	if failed {
 		log.Fatal("ibe-bench: speedup ratio regressed >30% against the committed baseline")

@@ -7,9 +7,33 @@
 // recipient that trusts ANY one PKG can verify that the sender's key is
 // genuine by checking the multisignature against the sum of all PKG public
 // keys.
+//
+// Every check is one optimal-ate pairing product, e(σ, −G2)·e(H(m), pk) = 1
+// (bn254.AtePairingCheck); a signature check holds under any
+// non-degenerate bilinear map, so the faster ate pairing changes nothing
+// that verifies.
+//
+// The client checks each PKG's attestation share before aggregating, and
+// all k shares sign the same message. VerifyBatch checks them together
+// with the small-exponent test (Bellare–Garay–Rabin): with fresh nonzero
+// 64-bit rᵢ from crypto/rand it accepts iff
+//
+//	e(Σ rᵢσᵢ, −G2) · e(H(m), Σ rᵢ·pkᵢ) = 1.
+//
+// Plain aggregation (all rᵢ = 1) would not do: shares σ₁+δ and σ₂−δ sum
+// to a valid multisignature although neither share is valid. With random
+// rᵢ, G1 and G2 of prime order r, and every point subgroup-checked when it
+// is decoded, a set holding any invalid share passes with probability at
+// most 1/(2⁶⁴−1) ≈ 2⁻⁶⁴: write σᵢ = H(m)·xᵢ + εᵢ; the check passes iff
+// Σ rᵢεᵢ = 0, and for a fixed nonzero εⱼ at most one of the 2⁶⁴−1
+// choices of rⱼ satisfies that. InvalidShare runs the batch check and
+// falls back to one Verify per share only when it fails, so a bad share
+// still names the PKG that sent it.
 package bls
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/big"
@@ -57,17 +81,76 @@ func Sign(priv *PrivateKey, msg []byte) *Signature {
 }
 
 // Verify reports whether sig is a valid signature on msg under pub,
-// checking e(σ, G2) == e(H(m), pk) via a combined pairing check.
+// checking e(σ, G2) == e(H(m), pk) as e(σ, −G2)·e(H(m), pk) == 1 with one
+// optimal-ate pairing product.
 func Verify(pub *PublicKey, msg []byte, sig *Signature) bool {
 	if pub == nil || sig == nil || sig.s.IsInfinity() {
 		return false
 	}
 	h := bn254.HashToG1(hashDomain, msg)
-	negG2 := new(bn254.G2).Neg(bn254.G2Generator())
-	return bn254.PairingCheck(
-		[]*bn254.G1{sig.s, h},
-		[]*bn254.G2{negG2, pub.p},
-	)
+	return bn254.AtePairingCheck(sig.s, []*bn254.G1{h}, []*bn254.G2{pub.p})
+}
+
+// VerifyBatch reports whether every sigs[i] is a valid signature on the
+// SAME msg under pubs[i], with one pairing product for the whole set: the
+// small-exponent test in the package doc, wrong with probability at most
+// 2⁻⁶⁴. It rejects an empty set and mismatched lengths. The rᵢ come from
+// crypto/rand, never from a caller's (possibly seeded) reader.
+func VerifyBatch(pubs []*PublicKey, msg []byte, sigs []*Signature) bool {
+	if len(sigs) == 0 || len(pubs) != len(sigs) {
+		return false
+	}
+	sumSig := new(bn254.G1).SetInfinity()
+	sumPub := new(bn254.G2).SetInfinity()
+	var rs bn254.G1
+	var rp bn254.G2
+	r := new(big.Int)
+	for i, sig := range sigs {
+		if pubs[i] == nil || sig == nil || sig.s.IsInfinity() {
+			return false
+		}
+		if err := batchScalar(r); err != nil {
+			return false
+		}
+		sumSig.Add(sumSig, rs.ScalarMult(sig.s, r))
+		sumPub.Add(sumPub, rp.ScalarMult(pubs[i].p, r))
+	}
+	h := bn254.HashToG1(hashDomain, msg)
+	return bn254.AtePairingCheck(sumSig, []*bn254.G1{h}, []*bn254.G2{sumPub})
+}
+
+// batchScalar sets r to a uniform nonzero 64-bit scalar from crypto/rand.
+func batchScalar(r *big.Int) error {
+	var buf [8]byte
+	for {
+		if _, err := rand.Read(buf[:]); err != nil {
+			return err
+		}
+		if v := binary.BigEndian.Uint64(buf[:]); v != 0 {
+			r.SetUint64(v)
+			return nil
+		}
+	}
+}
+
+// InvalidShare returns the index of the first invalid signature among
+// same-message shares (sigs[i] under pubs[i]), or -1 when all are valid.
+// The common all-valid case costs one VerifyBatch; only when it fails are
+// the shares verified one by one to blame the faulty signer. pubs and sigs
+// must have the same length.
+func InvalidShare(pubs []*PublicKey, msg []byte, sigs []*Signature) int {
+	if len(pubs) != len(sigs) {
+		panic("bls: InvalidShare called with mismatched lengths")
+	}
+	if VerifyBatch(pubs, msg, sigs) {
+		return -1
+	}
+	for i := range sigs {
+		if !Verify(pubs[i], msg, sigs[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // AggregateSignatures combines signatures from independent signers over the

@@ -138,13 +138,13 @@ func TestSignatureSizeConstant(t *testing.T) {
 	}
 }
 
-// TestVerifyMatchesTwoPairReconstruction pins the combined pairing check
-// that Verify uses — one shared Miller product through the decomposed
-// final exponentiation — against the textbook two-pairing reconstruction
+// TestVerifyMatchesTwoPairReconstruction pins Verify — one optimal-ate
+// pairing product through the decomposed final exponentiation — against
+// the Tate oracle: the textbook two-pairing reconstruction
 // e(σ, G2) == e(H(m), pk) computed via bn254.Pair, which retains the
-// generic windowed final exponentiation as its oracle. The two paths must
-// agree on valid signatures, tampered messages, tampered signatures, and
-// mismatched keys.
+// generic windowed final exponentiation. The two paths must agree on valid
+// signatures, tampered messages, tampered signatures, mismatched keys and
+// infinity inputs.
 func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 	reconstruct := func(pub *PublicKey, msg []byte, sig *Signature) bool {
 		if pub == nil || sig == nil || sig.s.IsInfinity() {
@@ -164,6 +164,8 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 	msg := []byte("pkg attests bob@example.org at round 42")
 	sig := Sign(priv, msg)
 	tamperedSig := &Signature{s: new(bn254.G1).Add(sig.s, sig.s)}
+	infSig := &Signature{s: new(bn254.G1).SetInfinity()}
+	infPub := &PublicKey{p: new(bn254.G2).SetInfinity()}
 	cases := []struct {
 		name string
 		pub  *PublicKey
@@ -175,6 +177,9 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 		{"tampered message", pub, []byte("pkg attests eve@example.org at round 42"), sig, false},
 		{"tampered signature", pub, msg, tamperedSig, false},
 		{"wrong key", otherPub, msg, sig, false},
+		{"infinite signature", pub, msg, infSig, false},
+		{"infinite key", infPub, msg, sig, false},
+		{"nil signature", pub, msg, nil, false},
 	}
 	for _, c := range cases {
 		got := Verify(c.pub, c.msg, c.sig)
@@ -182,5 +187,112 @@ func TestVerifyMatchesTwoPairReconstruction(t *testing.T) {
 		if got != c.want || oracle != c.want {
 			t.Fatalf("%s: Verify=%v oracle=%v want=%v", c.name, got, oracle, c.want)
 		}
+	}
+}
+
+// shares returns k same-message signatures with their keys.
+func shares(t testing.TB, k int, msg []byte) ([]*PublicKey, []*Signature) {
+	t.Helper()
+	pubs := make([]*PublicKey, k)
+	sigs := make([]*Signature, k)
+	for i := range pubs {
+		pub, priv, err := GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubs[i], sigs[i] = pub, Sign(priv, msg)
+	}
+	return pubs, sigs
+}
+
+// TestVerifyBatchRejectsOneBadShare: for k = 1…5 a valid set passes the
+// batch check, and replacing any single share — with another signer's
+// share, a signature on another message, or the identity — fails it, and
+// InvalidShare names exactly that share.
+func TestVerifyBatchRejectsOneBadShare(t *testing.T) {
+	msg := []byte("pkg attests carol@example.org at round 3")
+	_, strangers := shares(t, 1, msg)
+	_, otherMsg := shares(t, 1, []byte("another message"))
+	bad := map[string]*Signature{
+		"stranger's share":  strangers[0],
+		"other message":     otherMsg[0],
+		"identity element":  {s: new(bn254.G1).SetInfinity()},
+		"missing signature": nil,
+	}
+	for k := 1; k <= 5; k++ {
+		pubs, sigs := shares(t, k, msg)
+		if !VerifyBatch(pubs, msg, sigs) {
+			t.Fatalf("k=%d: valid shares rejected", k)
+		}
+		if got := InvalidShare(pubs, msg, sigs); got != -1 {
+			t.Fatalf("k=%d: InvalidShare blamed share %d of a valid set", k, got)
+		}
+		for j := 0; j < k; j++ {
+			for name, b := range bad {
+				tampered := append([]*Signature(nil), sigs...)
+				tampered[j] = b
+				if VerifyBatch(pubs, msg, tampered) {
+					t.Fatalf("k=%d: batch accepted %s at share %d", k, name, j)
+				}
+				if got := InvalidShare(pubs, msg, tampered); got != j {
+					t.Fatalf("k=%d: %s at share %d blamed share %d", k, name, j, got)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyBatchRejectsCancellingShares is the reason for the random
+// coefficients: shares σ₁+δ and σ₂−δ aggregate to a valid multisignature,
+// so plain aggregation would accept them, but each share is invalid and
+// the small-exponent batch check must reject the set.
+func TestVerifyBatchRejectsCancellingShares(t *testing.T) {
+	msg := []byte("pkg attests dave@example.org at round 8")
+	pubs, sigs := shares(t, 3, msg)
+	delta := bn254.HashToG1("cancelling-delta", msg)
+	sigs[0] = &Signature{s: new(bn254.G1).Add(sigs[0].s, delta)}
+	sigs[1] = &Signature{s: new(bn254.G1).Add(sigs[1].s, new(bn254.G1).Neg(delta))}
+	if !Verify(AggregatePublicKeys(pubs...), msg, AggregateSignatures(sigs...)) {
+		t.Fatal("test setup: cancelling shares should aggregate to a valid multisignature")
+	}
+	if VerifyBatch(pubs, msg, sigs) {
+		t.Fatal("batch check accepted cancelling bad shares")
+	}
+	if got := InvalidShare(pubs, msg, sigs); got != 0 {
+		t.Fatalf("InvalidShare blamed share %d, want 0", got)
+	}
+}
+
+func TestVerifyBatchRejectsMalformedSets(t *testing.T) {
+	msg := []byte("m")
+	pubs, sigs := shares(t, 2, msg)
+	if VerifyBatch(nil, msg, nil) {
+		t.Fatal("empty set accepted")
+	}
+	if VerifyBatch(pubs[:1], msg, sigs) {
+		t.Fatal("mismatched lengths accepted")
+	}
+	if VerifyBatch([]*PublicKey{pubs[0], nil}, msg, sigs) {
+		t.Fatal("nil key accepted")
+	}
+}
+
+func BenchmarkVerify(b *testing.B) {
+	msg := []byte("bench")
+	pubs, sigs := shares(b, 1, msg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Verify(pubs[0], msg, sigs[0])
+	}
+}
+
+// BenchmarkVerifyBatch3 is the client's per-round attestation check: k=3
+// PKG shares in one batch.
+func BenchmarkVerifyBatch3(b *testing.B) {
+	msg := []byte("bench")
+	pubs, sigs := shares(b, 3, msg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		VerifyBatch(pubs, msg, sigs)
 	}
 }

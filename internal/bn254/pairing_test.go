@@ -77,14 +77,14 @@ func TestPairingCheck(t *testing.T) {
 	a := big.NewInt(424242)
 	pa := new(G1).ScalarBaseMult(a)
 	na := new(G1).Neg(pa)
-	if !PairingCheck([]*G1{pa, na}, []*G2{G2Generator(), G2Generator()}) {
-		t.Fatal("PairingCheck failed on cancelling pair")
+	if !TatePairingCheck([]*G1{pa, na}, []*G2{G2Generator(), G2Generator()}) {
+		t.Fatal("TatePairingCheck failed on cancelling pair")
 	}
-	if PairingCheck([]*G1{pa, pa}, []*G2{G2Generator(), G2Generator()}) {
-		t.Fatal("PairingCheck accepted non-cancelling pair")
+	if TatePairingCheck([]*G1{pa, pa}, []*G2{G2Generator(), G2Generator()}) {
+		t.Fatal("TatePairingCheck accepted non-cancelling pair")
 	}
-	if PairingCheck([]*G1{pa}, []*G2{}) {
-		t.Fatal("PairingCheck accepted mismatched lengths")
+	if TatePairingCheck([]*G1{pa}, []*G2{}) {
+		t.Fatal("TatePairingCheck accepted mismatched lengths")
 	}
 }
 

@@ -78,6 +78,15 @@ func (c *Client) SubmitAddFriendRound(ctx context.Context, round uint32) error {
 
 // extractRoundKeys performs Algorithm 1 step 1 against every PKG and
 // caches the aggregated results for the round's scan phase.
+//
+// The k Extract RPCs run concurrently; the first failure cancels the rest
+// and is returned with its PKG index. Every PKG's attestation share is
+// then verified before aggregation — a bad share would poison the
+// multisignature and is that PKG's fault — with ONE batched pairing check
+// for all k shares (bls.InvalidShare: the small-exponent test, sound up to
+// 2⁻⁶⁴). Only when the batch fails are the shares checked one by one, so
+// the error still names the faulty PKG. On any error no round keys are
+// cached.
 func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 	c.mu.Lock()
 	if _, done := c.roundKeys[round]; done {
@@ -89,20 +98,42 @@ func (c *Client) extractRoundKeys(ctx context.Context, round uint32) error {
 	sig := ed25519.Sign(c.signingPriv, pkgserver.ExtractMessage(c.cfg.Email, round))
 	attMsg := wire.AttestationMessage(c.cfg.Email, c.signingPub, round)
 
-	idKeys := make([]*ibe.IdentityPrivateKey, len(c.cfg.PKGs))
-	sigs := make([]*bls.Signature, len(c.cfg.PKGs))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	replies := make([]*pkgserver.ExtractReply, len(c.cfg.PKGs))
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
 	for i, pkg := range c.cfg.PKGs {
-		reply, err := pkg.Extract(ctx, c.cfg.Email, round, sig)
-		if err != nil {
-			return fmt.Errorf("PKG %d: %w", i, err)
-		}
-		// Verify this PKG's attestation share now: a bad share would
-		// poison the aggregate and is this PKG's fault.
-		if !bls.Verify(c.cfg.PKGBLSKeys[i], attMsg, reply.Attestation) {
-			return fmt.Errorf("PKG %d returned invalid attestation", i)
-		}
+		wg.Add(1)
+		go func(i int, pkg PKG) {
+			defer wg.Done()
+			reply, err := pkg.Extract(ctx, c.cfg.Email, round, sig)
+			if err != nil {
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("PKG %d: %w", i, err)
+					cancel()
+				})
+				return
+			}
+			replies[i] = reply
+		}(i, pkg)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+
+	idKeys := make([]*ibe.IdentityPrivateKey, len(replies))
+	sigs := make([]*bls.Signature, len(replies))
+	for i, reply := range replies {
 		idKeys[i] = reply.IdentityKey
 		sigs[i] = reply.Attestation
+	}
+	if bad := bls.InvalidShare(c.cfg.PKGBLSKeys, attMsg, sigs); bad >= 0 {
+		return fmt.Errorf("PKG %d returned invalid attestation", bad)
 	}
 
 	c.mu.Lock()

@@ -145,6 +145,41 @@ func (f *roundFeed) status(service wire.Service) (entry.RoundStatus, <-chan stru
 // announcements harmless.
 func (f *roundFeed) fold(service wire.Service, st entry.RoundStatus) {
 	f.mu.Lock()
+	if f.foldLocked(service, st) {
+		f.wakeLocked()
+	}
+	f.mu.Unlock()
+}
+
+// foldAnnouncements folds a whole batch of announcements as ONE state
+// change. A connecting client's first reply replays every retained round;
+// waking the service loops per announcement would let the dialing loop
+// queue and drain a partial backlog (round 1 alone, then 2–3, …) instead
+// of catching up with one ranged fetch.
+func (f *roundFeed) foldAnnouncements(anns []entry.Announcement) {
+	f.mu.Lock()
+	dirty := false
+	for _, ann := range anns {
+		st := entry.RoundStatus{}
+		switch ann.Kind {
+		case entry.RoundOpen:
+			st.CurrentOpen = ann.Round
+		case entry.RoundPublished:
+			st.LatestPublished = ann.Round
+		}
+		if f.foldLocked(ann.Service, st) {
+			dirty = true
+		}
+	}
+	if dirty {
+		f.wakeLocked()
+	}
+	f.mu.Unlock()
+}
+
+// foldLocked merges st into one service's state and reports whether it
+// advanced. Caller holds f.mu.
+func (f *roundFeed) foldLocked(service wire.Service, st entry.RoundStatus) bool {
 	cur := f.state[service]
 	dirty := false
 	if st.CurrentOpen > cur.CurrentOpen {
@@ -157,10 +192,14 @@ func (f *roundFeed) fold(service wire.Service, st entry.RoundStatus) {
 	}
 	if dirty {
 		f.state[service] = cur
-		close(f.changed)
-		f.changed = make(chan struct{})
 	}
-	f.mu.Unlock()
+	return dirty
+}
+
+// wakeLocked wakes every loop parked on the state. Caller holds f.mu.
+func (f *roundFeed) wakeLocked() {
+	close(f.changed)
+	f.changed = make(chan struct{})
 }
 
 // run follows the frontend until the feed is released. Push mode parks on
@@ -191,21 +230,16 @@ func (f *roundFeed) run(ctx context.Context) {
 			if err == nil {
 				cursor = next
 				backoff, outage = feedBackoffMin, 0
+				// Settings riding the open events (EventStreamV2, or
+				// the in-process adapter) pre-fill the cache BEFORE the
+				// fold wakes the service loops, so their submits start
+				// from a hit.
 				for _, ann := range anns {
-					st := entry.RoundStatus{}
-					switch ann.Kind {
-					case entry.RoundOpen:
-						st.CurrentOpen = ann.Round
-						// Settings riding the open event (EventStreamV2,
-						// or the in-process adapter) pre-fill the cache
-						// BEFORE the fold wakes the service loops, so
-						// their submits start from a hit.
+					if ann.Kind == entry.RoundOpen {
 						f.c.noteAnnouncedSettings(ann)
-					case entry.RoundPublished:
-						st.LatestPublished = ann.Round
 					}
-					f.fold(ann.Service, st)
 				}
+				f.foldAnnouncements(anns)
 				continue
 			}
 			if errors.Is(err, ErrEventsUnsupported) {
