@@ -11,17 +11,16 @@
 //	alpenhorn-bench -exp ibe-sweep  # IBE cost scaling (§8.6)
 //	alpenhorn-bench -exp ibe-bench  # T1/T4 pairing throughput (decrypts, extractions, mailbox scan)
 //	alpenhorn-bench -exp mix-cal    # measure per-message mix cost (used by figs 8/9)
-//	alpenhorn-bench -exp mix-compare # sequential vs parallel vs pipelined round cost
+//	alpenhorn-bench -exp mix-compare # full-batch chain (1 worker, worker pool) vs pipelined round cost
 //	alpenhorn-bench -exp chain-forward # relayed vs server-forwarded data plane over TCP
 //	alpenhorn-bench -exp shard-compare # unsharded vs shard-group positions over TCP
 //	alpenhorn-bench -exp churn      # round availability with hot spares under daemon kills
-//	alpenhorn-bench -exp status-load # 500 ms status pollers vs entry.events streamers
-//	alpenhorn-bench -exp fanout-load # waiter-scale fan-out + V2 vs V1 tracking requests
+//	alpenhorn-bench -exp fanout-load # waiter-scale fan-out + tracking requests per client per round
 //	alpenhorn-bench -exp cdn-load   # CDN seal throughput, fetch p50/p99, replication lag
 //	alpenhorn-bench -all            # everything
 //
-// -json FILE writes the shard-compare / churn / status-load /
-// fanout-load / ibe-bench / cdn-load results as a JSON record (CI
+// -json FILE writes the shard-compare / churn / fanout-load / ibe-bench /
+// cdn-load results as a JSON record (CI
 // uploads them per PR to track the perf trajectory).
 //
 // The -parallelism flag sets the mixers' decryption/noise worker count for
@@ -64,11 +63,11 @@ import (
 
 func main() {
 	fig := flag.Int("fig", 0, "paper figure to regenerate (6-10)")
-	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, mix-compare, chain-forward, shard-compare, churn, status-load, fanout-load, cdn-load")
+	exp := flag.String("exp", "", "named experiment: sizes, extraction, ibe-sweep, ibe-bench, mix-cal, mix-compare, chain-forward, shard-compare, churn, fanout-load, cdn-load")
 	all := flag.Bool("all", false, "run everything")
 	users := flag.Int("calibration-batch", 4000, "batch size for real-round mix calibration")
 	par := flag.Int("parallelism", 0, "mixer decryption/noise workers (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.String("json", "", "write machine-readable results (shard-compare, status-load, fanout-load, ibe-bench, cdn-load) to this file")
+	jsonOut := flag.String("json", "", "write machine-readable results (shard-compare, churn, fanout-load, ibe-bench, cdn-load) to this file")
 	baseline := flag.String("baseline", "", "committed ibe-bench JSON record to diff speedup ratios against; exits nonzero on >30% regression")
 	flag.Parse()
 	parallelism = *par
@@ -96,7 +95,6 @@ func main() {
 	run(-1, "chain-forward", chainForwardCompare)
 	run(-1, "shard-compare", shardCompare)
 	run(-1, "churn", churnBench)
-	run(-1, "status-load", func(int) { statusLoad() })
 	run(-1, "fanout-load", func(int) { fanoutLoad() })
 	run(-1, "cdn-load", func(int) { cdnLoad() })
 	if !any {
@@ -194,9 +192,10 @@ func fig7(int) {
 	fmt.Printf("\n(paper: 1 filter/125K tokens/0.75 MB at 1M; 7 filters/150K/0.9 MB at 10M)\n")
 }
 
-// newBenchCoordinator builds a 3-mixer in-process deployment with the
-// requested mixer parallelism and a submitted batch, ready to close.
-func newBenchCoordinator(batchSize, workers int, sequential bool) *coordinator.Coordinator {
+// benchDialingRound builds a 3-server in-process chain with the
+// requested mixer parallelism and opens a dialing round on it carrying a
+// generated batch, ready to close or to mix by hand.
+func benchDialingRound(batchSize, workers int) (*coordinator.Coordinator, []*mixnet.Server, *wire.RoundSettings, [][]byte) {
 	nz := noise.Laplace{Mu: 2, B: 0}
 	var mixers []*mixnet.Server
 	for i := 0; i < 3; i++ {
@@ -210,9 +209,7 @@ func newBenchCoordinator(batchSize, workers int, sequential bool) *coordinator.C
 		}
 		mixers = append(mixers, m)
 	}
-	e := entry.New()
-	coord := coordinator.New(e, mixers, nil, cdn.NewStore(2))
-	coord.Sequential = sequential
+	coord := coordinator.New(entry.New(), mixers, nil, cdn.NewStore(2))
 	coord.SetExpectedVolume(wire.Dialing, batchSize)
 	settings, err := coord.OpenDialingRound(1)
 	if err != nil {
@@ -224,52 +221,63 @@ func newBenchCoordinator(batchSize, workers int, sequential bool) *coordinator.C
 	if err != nil {
 		log.Fatal(err)
 	}
+	return coord, mixers, settings, batch
+}
+
+// timeFullBatchChain times one dialing round through mixnet.Chain: every
+// server mixes the whole batch before the next one starts.
+func timeFullBatchChain(batchSize, workers int) float64 {
+	_, mixers, settings, batch := benchDialingRound(batchSize, workers)
+	start := time.Now()
+	if _, err := mixnet.Chain(mixers, wire.Dialing, 1, settings.NumMailboxes, batch); err != nil {
+		log.Fatal(err)
+	}
+	return time.Since(start).Seconds()
+}
+
+// timePipelinedRound times one dialing round closed by the coordinator:
+// the streaming pipeline with noise prepared at round open.
+func timePipelinedRound(batchSize, workers int) float64 {
+	coord, _, _, batch := benchDialingRound(batchSize, workers)
 	for _, onion := range batch {
-		if err := e.Submit(wire.Dialing, 1, onion); err != nil {
+		if err := coord.Entry.Submit(wire.Dialing, 1, onion); err != nil {
 			log.Fatal(err)
 		}
 	}
-	return coord
-}
-
-// measureMixCost runs a real dialing round through a 3-server in-process
-// chain and returns seconds per message per server. The chain runs with
-// full-batch barriers (Sequential) so that dividing by the server count is
-// meaningful — with the streaming pipeline the stages overlap and the
-// per-server cost would be undercounted. -parallelism 1 reproduces the
-// paper's single-thread calibration; the default measures this machine's
-// parallel decrypt rate. Pipeline gains are measured by mix-compare.
-func measureMixCost(batchSize int) float64 {
-	coord := newBenchCoordinator(batchSize, parallelism, true)
 	start := time.Now()
 	if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 		log.Fatal(err)
 	}
-	return time.Since(start).Seconds() / float64(batchSize) / 3
+	return time.Since(start).Seconds()
 }
 
-// mixCompare prints the sequential-vs-parallel-vs-pipelined round cost
-// comparison for the refactored mix chain.
+// measureMixCost runs a real dialing round through a 3-server in-process
+// chain and returns seconds per message per server. The chain runs with
+// full-batch barriers (mixnet.Chain) so that dividing by the server count
+// is meaningful — with the streaming pipeline the stages overlap and the
+// per-server cost would be undercounted. -parallelism 1 reproduces the
+// paper's single-thread calibration; the default measures this machine's
+// parallel decrypt rate. Pipeline gains are measured by mix-compare.
+func measureMixCost(batchSize int) float64 {
+	return timeFullBatchChain(batchSize, parallelism) / float64(batchSize) / 3
+}
+
+// mixCompare prints the full-batch-vs-pipelined round cost comparison for
+// the mix chain.
 func mixCompare(batchSize int) {
-	header("Mix execution modes: sequential vs parallel vs pipelined")
+	header("Mix execution modes: full-batch chain vs pipelined")
 	fmt.Printf("3 servers, dialing, batch %d, GOMAXPROCS %d\n\n", batchSize, runtime.GOMAXPROCS(0))
 	modes := []struct {
-		name       string
-		workers    int
-		sequential bool
+		name string
+		run  func() float64
 	}{
-		{"sequential (1 worker, full-batch barriers)", 1, true},
-		{"parallel decrypt (worker pool, full-batch barriers)", 0, true},
-		{"pipelined (worker pool + streaming chunks + prepared noise)", 0, false},
+		{"full-batch chain (1 worker)", func() float64 { return timeFullBatchChain(batchSize, 1) }},
+		{"full-batch chain (worker pool)", func() float64 { return timeFullBatchChain(batchSize, 0) }},
+		{"pipelined (worker pool + streaming chunks + prepared noise)", func() float64 { return timePipelinedRound(batchSize, 0) }},
 	}
 	var base float64
 	for i, mode := range modes {
-		coord := newBenchCoordinator(batchSize, mode.workers, mode.sequential)
-		start := time.Now()
-		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
+		elapsed := mode.run()
 		if i == 0 {
 			base = elapsed
 		}
@@ -280,16 +288,15 @@ func mixCompare(batchSize int) {
 
 // chainForwardCompare measures the data-plane refactor over real TCP: a
 // 3-daemon chain driven (a) with the coordinator relaying every server's
-// output, (b) with the servers forwarding to each other and publishing to
-// the CDN directly, and (c) with one pre-streaming (legacy) daemon forcing
-// the rolling-upgrade fallback. For each mode it reports the round's wall
-// time and the bytes that crossed the coordinator's mixer connections —
-// the quantity the chain-forward refactor takes off the coordinator.
+// output and (b) with the servers forwarding to each other and publishing
+// to the CDN directly. For each mode it reports the round's wall time and
+// the bytes that crossed the coordinator's mixer connections — the
+// quantity the chain-forward refactor takes off the coordinator.
 func chainForwardCompare(batchSize int) {
 	header("Data plane: coordinator-relayed vs chain-forwarded (3 mixer daemons over TCP)")
 	fmt.Printf("dialing, batch %d, GOMAXPROCS %d\n\n", batchSize, runtime.GOMAXPROCS(0))
 
-	runMode := func(forward, legacyFirst bool) (elapsed float64, coordBytes uint64, published bool) {
+	runMode := func(forward bool) (elapsed float64, coordBytes uint64, published bool) {
 		nz := noise.Laplace{Mu: 2, B: 0}
 		var clients []*rpc.MixerClient
 		var servers []*rpc.Server
@@ -308,11 +315,7 @@ func chainForwardCompare(batchSize int) {
 				log.Fatal(err)
 			}
 			srv := rpc.NewServer()
-			if legacyFirst && i == 0 {
-				rpc.RegisterLegacyMixer(srv, m)
-			} else {
-				rpc.RegisterMixer(srv, m)
-			}
+			rpc.RegisterMixer(srv, m)
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				log.Fatal(err)
@@ -377,15 +380,14 @@ func chainForwardCompare(batchSize int) {
 	}
 
 	modes := []struct {
-		name            string
-		forward, legacy bool
+		name    string
+		forward bool
 	}{
-		{"coordinator-relayed (batch crosses coordinator per hop)", false, false},
-		{"chain-forwarded (servers push to successors + CDN)", true, false},
-		{"legacy daemon in chain (fallback to relayed)", true, true},
+		{"coordinator-relayed (batch crosses coordinator per hop)", false},
+		{"chain-forwarded (servers push to successors + CDN)", true},
 	}
 	for _, mode := range modes {
-		elapsed, coordBytes, published := runMode(mode.forward, mode.legacy)
+		elapsed, coordBytes, published := runMode(mode.forward)
 		status := "ok"
 		if !published {
 			status = "NOT PUBLISHED"
@@ -549,141 +551,8 @@ func shardCompare(batchSize int) {
 	}{"shard-compare", batchSize, runtime.GOMAXPROCS(0), results})
 }
 
-// statusLoad measures the frontend's per-client request load for round
-// tracking: N clients following M dialing rounds through Client.Run, once
-// against a push frontend (entry.events long-poll) and once against a
-// poll-only frontend (500 ms frontend.status polling — the pre-event-
-// stream client behaviour). At the ROADMAP's million-user scale the
-// 2 Hz × 2-service status polling is the frontend's dominant request
-// source; this experiment records what the push surface takes off it.
-func statusLoad() {
-	header("Frontend status load: 500 ms pollers vs entry.events streamers (over TCP)")
-	// Round pacing matters: a poller's cost is poll-rate x round length
-	// regardless of activity, a streamer's is per-event. 2.5 s rounds are
-	// already conservative (the entry daemon defaults to 10 s dialing
-	// rounds, where the gap is ~4x wider still).
-	const (
-		numClients    = 4
-		numRounds     = 4
-		roundInterval = 2500 * time.Millisecond
-	)
-	fmt.Printf("%d clients, %d dialing rounds, %v per round\n\n", numClients, numRounds, roundInterval)
-
-	type modeResult struct {
-		Name          string  `json:"name"`
-		Streaming     bool    `json:"streaming"`
-		Clients       int     `json:"clients"`
-		Rounds        int     `json:"rounds"`
-		Tracking      uint64  `json:"tracking_requests"`
-		Requests      uint64  `json:"frontend_requests"`
-		Bytes         uint64  `json:"frontend_bytes"`
-		PerClientRate float64 `json:"tracking_per_client_per_round"`
-	}
-
-	runMode := func(streaming bool) modeResult {
-		network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv := rpc.NewServer()
-		if streaming {
-			rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		} else {
-			rpc.RegisterPollFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var frontends []*rpc.FrontendClient
-		for i := 0; i < numClients; i++ {
-			fe := rpc.DialFrontend(addr)
-			frontends = append(frontends, fe)
-			h := &sim.Handler{AcceptAll: true}
-			cfg := network.ClientConfig(fmt.Sprintf("user%d@bench.example", i), h)
-			cfg.Entry = fe
-			cfg.Mailboxes = fe
-			client, err := core.NewClient(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := client.Register(ctx); err != nil {
-				log.Fatal(err)
-			}
-			if err := network.ConfirmAll(client); err != nil {
-				log.Fatal(err)
-			}
-			handle, err := client.ConnectDialing(ctx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer handle.Close()
-		}
-
-		for r := uint32(1); r <= numRounds; r++ {
-			start := time.Now()
-			if _, err := network.Coord.OpenDialingRound(r); err != nil {
-				log.Fatal(err)
-			}
-			for network.Entry.BatchSize(wire.Dialing, r) < numClients && time.Since(start) < 10*time.Second {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if remaining := roundInterval - time.Since(start); remaining > 0 {
-				time.Sleep(remaining)
-			}
-			if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Let the final scans land before counting.
-		time.Sleep(300 * time.Millisecond)
-		cancel()
-
-		res := modeResult{Streaming: streaming, Clients: numClients, Rounds: numRounds}
-		if streaming {
-			res.Name = "streaming (entry.events long-poll)"
-		} else {
-			res.Name = "polling (500 ms frontend.status)"
-		}
-		for _, fe := range frontends {
-			res.Tracking += fe.CallCount("frontend.status") + fe.CallCount("entry.events")
-			st := fe.TransportStats()
-			res.Requests += st.Calls
-			res.Bytes += st.BytesSent + st.BytesReceived
-			fe.Close()
-		}
-		res.PerClientRate = float64(res.Tracking) / float64(numClients) / float64(numRounds)
-		return res
-	}
-
-	var results []modeResult
-	for _, streaming := range []bool{false, true} {
-		r := runMode(streaming)
-		fmt.Printf("%-38s %6d tracking req  %6d total req  %8.1f KB  (%.1f tracking req/client/round)\n",
-			r.Name, r.Tracking, r.Requests, float64(r.Bytes)/1024, r.PerClientRate)
-		results = append(results, r)
-	}
-	if results[1].Tracking > 0 {
-		fmt.Printf("\nstreaming clients issue %.1fx fewer round-tracking requests\n",
-			float64(results[0].Tracking)/float64(results[1].Tracking))
-	}
-	fmt.Println("(an idle streaming client costs one parked entry.events call per 25 s;")
-	fmt.Println(" a poller costs 2 Hz x 2 services regardless of round activity)")
-
-	writeJSONRecord("status-load", struct {
-		Experiment string       `json:"experiment"`
-		Modes      []modeResult `json:"modes"`
-	}{"status-load", results})
-}
-
 // fanoutLoad measures the entry tier's fan-out core at waiter scale and the
-// per-client tracking request load of the V2 event stream (settings riding
-// the open announcements) against the V1 stream (per-round entry.settings
-// fetch). Two parts:
+// per-client tracking request load of the event stream. Two parts:
 //
 //  1. Waiter scale, in-process: register 10k-100k Waiters on one entry
 //     server and announce rounds. The goroutine count must stay FLAT —
@@ -693,10 +562,9 @@ func statusLoad() {
 //     tracked clients cost a cursor and a 1-slot channel, not a parked
 //     goroutine each.
 //  2. Tracking requests, over TCP: N clients follow M dialing rounds
-//     through Client.Run against a V2 frontend and a V1 frontend. V2
-//     delivers settings inside the open event, so a round costs zero
-//     entry.settings fetches; V1 (the PR 4 streaming baseline) pays one
-//     verified fetch per client per round.
+//     through Client.Run. Settings ride inside the open event, so a round
+//     costs zero entry.settings fetches; what remains is the parked
+//     entry.events calls.
 func fanoutLoad() {
 	header("Event fan-out: waiter scale (in-process)")
 
@@ -764,7 +632,7 @@ func fanoutLoad() {
 	}
 	fmt.Println("(goroutine count is flat: one fan-out walker total, zero per waiter)")
 
-	header("Event stream V2 vs V1: tracking requests per client per round (over TCP)")
+	header("Event stream: tracking requests per client per round (over TCP)")
 	const (
 		numClients    = 4
 		numRounds     = 3
@@ -772,9 +640,7 @@ func fanoutLoad() {
 	)
 	fmt.Printf("%d clients, %d dialing rounds, %v per round\n\n", numClients, numRounds, roundInterval)
 
-	type modeResult struct {
-		Name             string  `json:"name"`
-		StreamVersion    int     `json:"stream_version"`
+	type trackingResult struct {
 		Clients          int     `json:"clients"`
 		Rounds           int     `json:"rounds"`
 		Tracking         uint64  `json:"tracking_requests"`
@@ -784,109 +650,88 @@ func fanoutLoad() {
 		ServerGoroutines int     `json:"server_goroutines"`
 	}
 
-	runMode := func(version int) modeResult {
-		network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := rpc.NewServer()
+	rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var frontends []*rpc.FrontendClient
+	for i := 0; i < numClients; i++ {
+		fe := rpc.DialFrontend(addr)
+		frontends = append(frontends, fe)
+		h := &sim.Handler{AcceptAll: true}
+		cfg := network.ClientConfig(fmt.Sprintf("user%d@bench.example", i), h)
+		cfg.Entry = fe
+		cfg.Mailboxes = fe
+		client, err := core.NewClient(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := rpc.NewServer()
-		if version >= rpc.EventStreamV2 {
-			rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-		} else {
-			rpc.RegisterFrontendV1(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
+		if err := client.Register(ctx); err != nil {
+			log.Fatal(err)
 		}
-		addr, err := srv.Listen("127.0.0.1:0")
+		if err := network.ConfirmAll(client); err != nil {
+			log.Fatal(err)
+		}
+		handle, err := client.ConnectDialing(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer srv.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var frontends []*rpc.FrontendClient
-		for i := 0; i < numClients; i++ {
-			fe := rpc.DialFrontend(addr)
-			frontends = append(frontends, fe)
-			h := &sim.Handler{AcceptAll: true}
-			cfg := network.ClientConfig(fmt.Sprintf("user%d@bench.example", i), h)
-			cfg.Entry = fe
-			cfg.Mailboxes = fe
-			client, err := core.NewClient(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := client.Register(ctx); err != nil {
-				log.Fatal(err)
-			}
-			if err := network.ConfirmAll(client); err != nil {
-				log.Fatal(err)
-			}
-			handle, err := client.ConnectDialing(ctx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer handle.Close()
-		}
-
-		goroutines := 0
-		for r := uint32(1); r <= numRounds; r++ {
-			start := time.Now()
-			if _, err := network.Coord.OpenDialingRound(r); err != nil {
-				log.Fatal(err)
-			}
-			for network.Entry.BatchSize(wire.Dialing, r) < numClients && time.Since(start) < 10*time.Second {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if r == 1 {
-				// Steady state: every client submitted and is parked on its
-				// event stream. One long-poll handler per connection plus
-				// ONE fan-out walker, however many clients are tracked.
-				goroutines = runtime.NumGoroutine()
-			}
-			if remaining := roundInterval - time.Since(start); remaining > 0 {
-				time.Sleep(remaining)
-			}
-			if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Let the final scans land before counting.
-		time.Sleep(300 * time.Millisecond)
-		cancel()
-
-		res := modeResult{StreamVersion: version, Clients: numClients, Rounds: numRounds, ServerGoroutines: goroutines}
-		if version >= rpc.EventStreamV2 {
-			res.Name = "V2 (settings ride the open events)"
-		} else {
-			res.Name = "V1 (per-round entry.settings fetch)"
-		}
-		for _, fe := range frontends {
-			res.SettingsFetches += fe.CallCount("entry.settings")
-			res.Tracking += fe.CallCount("frontend.status") + fe.CallCount("entry.events") + fe.CallCount("entry.settings")
-			res.Requests += fe.TransportStats().Calls
-			fe.Close()
-		}
-		res.PerClientRate = float64(res.Tracking) / float64(numClients) / float64(numRounds)
-		return res
+		defer handle.Close()
 	}
 
-	var modes []modeResult
-	for _, version := range []int{rpc.EventStreamV1, rpc.EventStreamV2} {
-		r := runMode(version)
-		fmt.Printf("%-36s %5d tracking req  %4d settings fetches  %5d total req  %3d goroutines  (%.1f tracking req/client/round)\n",
-			r.Name, r.Tracking, r.SettingsFetches, r.Requests, r.ServerGoroutines, r.PerClientRate)
-		modes = append(modes, r)
+	goroutines := 0
+	for r := uint32(1); r <= numRounds; r++ {
+		start := time.Now()
+		if _, err := network.Coord.OpenDialingRound(r); err != nil {
+			log.Fatal(err)
+		}
+		for network.Entry.BatchSize(wire.Dialing, r) < numClients && time.Since(start) < 10*time.Second {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if r == 1 {
+			// Steady state: every client submitted and is parked on its
+			// event stream. One long-poll handler per connection plus
+			// ONE fan-out walker, however many clients are tracked.
+			goroutines = runtime.NumGoroutine()
+		}
+		if remaining := roundInterval - time.Since(start); remaining > 0 {
+			time.Sleep(remaining)
+		}
+		if _, err := network.Coord.CloseRound(wire.Dialing, r); err != nil {
+			log.Fatal(err)
+		}
 	}
-	if modes[0].Tracking > modes[1].Tracking {
-		fmt.Printf("\nV2 clients issue %.1fx fewer tracking requests than the V1 streaming baseline\n",
-			float64(modes[0].Tracking)/float64(modes[1].Tracking))
+	// Let the final scans land before counting.
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+
+	res := trackingResult{Clients: numClients, Rounds: numRounds, ServerGoroutines: goroutines}
+	for _, fe := range frontends {
+		res.SettingsFetches += fe.CallCount("entry.settings")
+		res.Tracking += fe.CallCount("entry.events") + fe.CallCount("entry.settings")
+		res.Requests += fe.TransportStats().Calls
+		fe.Close()
 	}
+	res.PerClientRate = float64(res.Tracking) / float64(numClients) / float64(numRounds)
+	fmt.Printf("%5d tracking req  %4d settings fetches  %5d total req  %3d goroutines  (%.1f tracking req/client/round)\n",
+		res.Tracking, res.SettingsFetches, res.Requests, res.ServerGoroutines, res.PerClientRate)
+	fmt.Println("(an idle streaming client costs one parked entry.events call per 25 s)")
 
 	writeJSONRecord("fanout-load", struct {
-		Experiment string       `json:"experiment"`
-		Scale      []scalePoint `json:"waiter_scale"`
-		Modes      []modeResult `json:"modes"`
-	}{"fanout-load", scale, modes})
+		Experiment string         `json:"experiment"`
+		Scale      []scalePoint   `json:"waiter_scale"`
+		Tracking   trackingResult `json:"tracking"`
+	}{"fanout-load", scale, res})
 }
 
 // measureIBEDecrypt returns seconds per trial decryption with our pairing,

@@ -14,10 +14,8 @@
 //	quit                  save state and exit
 //
 // Round participation (cover traffic included) is owned by the client
-// library: client.Run follows the frontend's round announcements —
-// push-based entry.events against a current frontend, transparent
-// status-polling fallback against an older one — and drives every
-// submit and scan, including the bounded dial-scan backlog and the §5.1
+// library: client.Run follows the frontend's round announcements over
+// the entry.events stream and drives every submit and scan, including the bounded dial-scan backlog and the §5.1
 // give-up policy. This binary only renders events and queues work.
 package main
 

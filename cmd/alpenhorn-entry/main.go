@@ -20,7 +20,7 @@
 // served read-only over the coordinator.status RPC on the client port.
 //
 // Clients connect here, fetch the deployment directory (server addresses
-// and pinned keys), and then poll round status to participate.
+// and pinned keys), and then follow the round event stream to participate.
 //
 // # Multi-frontend topology
 //
@@ -71,7 +71,7 @@ func main() {
 	afInterval := flag.Duration("addfriend-interval", 30*time.Second, "add-friend round interval")
 	dlInterval := flag.Duration("dialing-interval", 10*time.Second, "dialing round interval")
 	submitWindow := flag.Duration("submit-window", 5*time.Second, "time clients have to submit before a round closes")
-	chainForward := flag.Bool("chain-forward", true, "mixers forward batches to each other; the coordinator moves control messages only (falls back to relaying when a daemon lacks support)")
+	chainForward := flag.Bool("chain-forward", true, "mixers forward batches to each other; the coordinator moves control messages only (false: the coordinator relays every batch)")
 	cdnAddr := flag.String("cdn-addr", ":7010", "server-plane listen address for cdn.publish (kept OFF the client-facing -addr: the transport is unauthenticated)")
 	cdnPublicAddr := flag.String("cdn-public-addr", "", "address mixers dial to reach cdn.publish (default: -cdn-addr; set host:port for multi-machine deployments)")
 	frontendOnly := flag.Bool("frontend-only", false, "run as a pure entry frontend joined to an existing deployment (-coordinator-addr); no PKGs, mixers, CDN, or round timers here")
@@ -341,7 +341,7 @@ func (m remoteMailboxes) FetchRange(service wire.Service, fromRound, toRound uin
 // mailboxes, and (for add-friend) erases the PKG master keys, since
 // clients extract only during the submit window. Open and published
 // announcements flow through the entry server's event log, which serves
-// both the frontend.status poll surface and the entry.events push stream.
+// the entry.events stream.
 func runRounds(c *coordinator.Coordinator, service wire.Service, interval, window time.Duration, stop <-chan struct{}) {
 	round := uint32(1)
 	ticker := time.NewTicker(interval)

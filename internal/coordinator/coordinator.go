@@ -8,25 +8,28 @@
 //
 // The coordinator is a CONTROL PLANE: it announces rounds, distributes
 // keys, opens and closes intake, and sequences the chain. Where the bulk
-// data of a round travels is the DATA PLANE, and the coordinator supports
-// three arrangements of it:
+// data of a round travels is the DATA PLANE, and the coordinator runs
+// one of two:
 //
-//   - Chain-forward (production, ChainForward with forwarding-capable
-//     daemons): each mixer daemon pushes its post-shuffle output directly
-//     to its successor, and the last daemon builds the mailboxes and
-//     publishes them straight to the CDN. The coordinator only streams
-//     the entry server's batch to the FIRST position and then exchanges
-//     control messages — route announcements, completion waits, aborts.
-//     At paper scale (~24k-request mailboxes, millions of onions) this
-//     keeps the coordinator off the bandwidth-critical path entirely.
+//   - Chain-forward (ChainForward): each mixer daemon pushes its
+//     post-shuffle output directly to its successor, and the last daemon
+//     builds the mailboxes and publishes them straight to the CDN. The
+//     coordinator only streams the entry server's batch to the FIRST
+//     position and then exchanges control messages — route
+//     announcements, completion waits, aborts. At paper scale
+//     (~24k-request mailboxes, millions of onions) this keeps the
+//     coordinator off the bandwidth-critical path entirely. Every mixer
+//     must be a ForwardMixer and CDNAddr must be set; otherwise rounds
+//     fail to open with ErrChainForwardUnavailable.
 //
-//   - Coordinator-relayed streaming (default; also the rolling-upgrade
-//     fallback): the chain still runs as a chunked pipeline, but every
-//     server's output is pulled back to the coordinator and re-sent
-//     downstream, so the batch crosses the coordinator once per hop.
+//   - Coordinator-relayed (the default, used by in-process deployments
+//     such as internal/sim): the chain runs as a chunked pipeline, but
+//     every server's output passes back through the coordinator, which
+//     feeds it to the next stage and publishes the final mailboxes
+//     itself.
 //
-//   - Sequential (benchmarks): strict stage-by-stage full-batch Mix
-//     calls, the unpipelined baseline.
+// A round runs on the plane its coordinator is configured for, or it
+// does not open.
 //
 // # Shard groups
 //
@@ -51,9 +54,9 @@
 // every position. Clients never see any of this: round settings carry
 // one key per position either way.
 //
-// Sharded rounds have NO fallback plane — the noise was divided at round
-// open, so if the fleet cannot run the sharded chain-forward plane the
-// round fails at open rather than running with an eroded noise floor.
+// Sharded rounds run only on the chain-forward plane: the noise is
+// divided at round open, so a sharded coordinator without ChainForward
+// fails at open rather than running with an eroded noise floor.
 //
 // # Self-healing rounds (schedule.go)
 //
@@ -104,6 +107,7 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"strings"
@@ -119,45 +123,20 @@ import (
 
 // Mixer is the coordinator's view of one mixnet server. It is satisfied by
 // *mixnet.Server (in-process) and *rpc.MixerClient (remote daemon).
+//
+// Every Mixer takes its round's batch in chunks (mixnet.ChunkMixer), so
+// it starts decrypting before the upstream server has finished emitting,
+// and generates its noise ahead of time: the coordinator calls
+// PrepareNoise as soon as a round's settings are fixed, so every server
+// generates its noise concurrently with client intake instead of
+// stalling the mix.
 type Mixer interface {
+	mixnet.ChunkMixer
 	NewRound(service wire.Service, round uint32) (wire.MixerRoundKey, error)
 	SetDownstreamKeys(service wire.Service, round uint32, keys [][]byte) error
-	Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error)
+	PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error
 	CloseRound(service wire.Service, round uint32)
 	NoiseMu(service wire.Service) float64
-}
-
-// StreamMixer is the optional chunked-intake surface of a Mixer. Mixers
-// that implement it participate in the coordinator's streaming pipeline:
-// they receive the round's batch in chunks and start decrypting before the
-// upstream server has finished emitting. Mixers that don't are driven
-// through full-batch Mix inside their pipeline stage.
-type StreamMixer = mixnet.ChunkMixer
-
-// NoisePreparer is the optional ahead-of-time noise surface of a Mixer.
-// The coordinator calls PrepareNoise as soon as a round's settings are
-// fixed, so every server generates its noise concurrently with client
-// intake instead of stalling the mix.
-type NoisePreparer interface {
-	PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error
-}
-
-// streamCapable lets a Mixer report at runtime whether its backend
-// actually supports the streaming/prepare-noise surface. rpc.MixerClient
-// implements every method statically but may be talking to a daemon built
-// before those RPCs existed; during a rolling upgrade it reports false and
-// the coordinator falls back to full-batch Mix. Mixers that don't
-// implement streamCapable are taken at interface value.
-type streamCapable interface {
-	SupportsStreaming() bool
-}
-
-// supportsStreaming reports whether m's streaming surface is usable.
-func supportsStreaming(m Mixer) bool {
-	if sc, ok := m.(streamCapable); ok {
-		return sc.SupportsStreaming()
-	}
-	return true
 }
 
 // RouteSpec is wire.RouteSpec: one daemon's forwarding assignment for a
@@ -165,18 +144,15 @@ func supportsStreaming(m Mixer) bool {
 // place in the shard group.
 type RouteSpec = wire.RouteSpec
 
-// ForwardMixer is the chain-forward control surface of a Mixer whose
-// daemon can push its post-shuffle output to a successor itself.
-// rpc.MixerClient implements it; in-process mixnet.Servers do not (they
-// have no address, and in-process chunk hand-off is already copy-free).
+// ForwardMixer is the daemon control surface of a Mixer: chain-forward
+// routing and, for sharded positions, the per-round shard layout and
+// group key exchange. rpc.MixerClient implements it; in-process
+// mixnet.Servers do not (they have no address, and in-process chunk
+// hand-off is already copy-free).
 type ForwardMixer interface {
 	// Addr is the daemon's RPC address, handed to its predecessor as
 	// the round's forwarding target.
 	Addr() string
-	// SupportsForwarding reports whether the daemon actually serves the
-	// route/wait/abort surface (capability-version negotiation; false
-	// during a rolling upgrade from an older daemon).
-	SupportsForwarding() bool
 	// OpenRoute tells the daemon where the round's output goes and its
 	// shard-group placement, if any.
 	OpenRoute(service wire.Service, round uint32, spec RouteSpec) error
@@ -187,16 +163,13 @@ type ForwardMixer interface {
 	// AbortRound discards the daemon's in-flight stream and route,
 	// unblocking any waiter; the daemon propagates the abort downstream.
 	AbortRound(service wire.Service, round uint32, reason string) error
-}
-
-// ShardMixer is the shard-group control surface of a Mixer: per-round
-// shard layout and group key exchange. rpc.MixerClient implements it for
-// StreamVersionShard daemons.
-type ShardMixer interface {
 	// SetRoundShard places the daemon in the round's shard group for
-	// its position (shard index of count). Must precede PrepareNoise:
-	// the group divides the position's per-mailbox noise.
-	SetRoundShard(service wire.Service, round uint32, index, count int) error
+	// its position (shard index of count) and installs the round's
+	// shard network — the dial addresses of every member planned into
+	// the group, spares included. The daemon serves the round's private
+	// key (mix.round.exportkey) only to hosts in that list. Must precede
+	// PrepareNoise: the group divides the position's per-mailbox noise.
+	SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error
 	// ImportRoundKeyFrom makes the daemon pull the position's round
 	// onion key directly from the group's lead — the private key moves
 	// inside the group's trust domain, the coordinator only names the
@@ -204,37 +177,11 @@ type ShardMixer interface {
 	ImportRoundKeyFrom(service wire.Service, round uint32, leadAddr string) error
 }
 
-// shardCapable mirrors streamCapable for the shard-group surface.
-type shardCapable interface {
-	SupportsSharding() bool
-}
-
-// supportsSharding reports whether m's shard surface is usable. Unlike
-// streaming (default true for in-process servers), sharding defaults to
-// FALSE: it only exists across daemons, and a silent downgrade would
-// break the noise-division invariant.
-func supportsSharding(m Mixer) bool {
-	if sc, ok := m.(shardCapable); ok {
-		return sc.SupportsSharding()
-	}
-	return false
-}
-
-// buildCapable mirrors shardCapable for the sharded mailbox-build surface
-// (StreamVersionCDNShard): the last position's shard group deals the
-// post-shuffle batch by mailbox ID and each shard publishes its own slice
-// to the CDN. Like sharding, it defaults to FALSE — the round falls back
-// to the merge server building every mailbox (rolling upgrade).
-type buildCapable interface {
-	SupportsShardedBuild() bool
-}
-
-func supportsShardedBuild(fm ForwardMixer) bool {
-	if bc, ok := fm.(buildCapable); ok {
-		return bc.SupportsShardedBuild()
-	}
-	return false
-}
+// ErrChainForwardUnavailable is returned when opening a round whose
+// coordinator asks for the chain-forward data plane (ChainForward) but
+// cannot run it: a mixer is not a ForwardMixer, or CDNAddr is empty.
+// The round fails instead of quietly relaying through the coordinator.
+var ErrChainForwardUnavailable = errors.New("coordinator: chain-forward data plane unavailable")
 
 // PKG is the coordinator's view of one PKG server. It is satisfied by
 // *pkgserver.Server (in-process) and *rpc.PKGClient (remote daemon).
@@ -310,8 +257,7 @@ type Coordinator struct {
 	// round-key source) plus Shards[i] (shards 1..N-1), in shard-index
 	// order. A nil or empty entry leaves the position unsharded. The
 	// merge/build-lead ROLE within each group rotates per round (see
-	// PinLead). Sharded rounds require the chain-forward data plane and
-	// shard-capable daemons everywhere; there is no silent fallback,
+	// PinLead). Sharded rounds require the chain-forward data plane,
 	// because the shards divide the position's noise at round open.
 	Shards [][]Mixer
 
@@ -360,11 +306,6 @@ type Coordinator struct {
 	// a batch through the chain (0 = mixnet.DefaultStreamChunk).
 	ChunkSize int
 
-	// Sequential disables the streaming pipeline: the chain runs strictly
-	// stage-by-stage through full-batch Mix calls. Used by benchmarks to
-	// measure what the pipeline buys; production keeps it false.
-	Sequential bool
-
 	// PairingV2 enables negotiation of the optimal-ate sealed-ciphertext
 	// tier for add-friend rounds. Rounds open at v2 only when every PKG
 	// supports it (see PairingPKG); otherwise — and always when this gate
@@ -375,9 +316,9 @@ type Coordinator struct {
 	// ChainForward moves the data plane onto the servers: mixers forward
 	// their output directly to their successors and the last mixer
 	// publishes to the CDN at CDNAddr, leaving the coordinator with
-	// control messages only. It takes effect when every mixer implements
-	// ForwardMixer and reports forwarding support; otherwise rounds fall
-	// back to the coordinator-relayed pipeline (rolling upgrade).
+	// control messages only. Every mixer (shards and spares included)
+	// must implement ForwardMixer; otherwise rounds fail to open with
+	// ErrChainForwardUnavailable.
 	ChainForward bool
 
 	// CDNAddr is the RPC address serving cdn.publish (normally this
@@ -724,13 +665,8 @@ func (c *Coordinator) sharded() bool {
 }
 
 func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
-	if c.sharded() {
-		if c.Sequential {
-			return fmt.Errorf("coordinator: sharded positions cannot run the sequential data plane")
-		}
-		if !c.ChainForward || c.CDNAddr == "" {
-			return fmt.Errorf("coordinator: sharded positions require the chain-forward data plane and a CDN address")
-		}
+	if c.sharded() && !c.ChainForward {
+		return fmt.Errorf("coordinator: sharded positions require the chain-forward data plane")
 	}
 	// The scheduler plans the round FIRST: it probes every candidate,
 	// drafts spares into benched slots, and picks the merge-role
@@ -743,6 +679,13 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 			c.dropPlan(settings.Service, settings.Round)
 		}
 	}()
+	// The data plane is fixed before any daemon opens the round: a
+	// chain-forward coordinator whose planned fleet cannot forward fails
+	// here, not at close.
+	groups, err := c.forwardGroups(plan)
+	if err != nil {
+		return err
+	}
 	// The position ANNOUNCERS announce the round keys: clients wrap one
 	// onion layer per position, so a shard group shares one key,
 	// generated by its announcer (slot 0, whose signing key clients pin)
@@ -764,16 +707,14 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 		return err
 	}
 	if c.sharded() {
-		if err := c.openShardGroups(settings.Service, settings.Round, plan); err != nil {
+		if err := c.openShardGroups(settings.Service, settings.Round, plan, groups); err != nil {
 			return err
 		}
 	}
 	// Every shard of every position needs the onion keys of the
 	// POSITIONS after it to wrap its noise; with the keys distributed,
-	// every server can generate its round noise concurrently with client
-	// intake, so the mix never waits for it. (Sequential mode skips the
-	// preparation — it benchmarks the unpipelined chain, where noise
-	// generation happens inside Mix.)
+	// every server generates its round noise concurrently with client
+	// intake, so the mix never waits for it.
 	return fanOut(len(c.Mixers), func(i int) error {
 		group := plan.group(i)
 		return fanOut(len(group), func(s int) error {
@@ -781,13 +722,8 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 			if err := m.SetDownstreamKeys(settings.Service, settings.Round, keys[i+1:]); err != nil {
 				return fmt.Errorf("coordinator: mixer %d/%d downstream keys: %w", i, s, err)
 			}
-			if c.Sequential {
-				return nil
-			}
-			if np, ok := m.(NoisePreparer); ok && supportsStreaming(m) {
-				if err := np.PrepareNoise(settings.Service, settings.Round, settings.NumMailboxes); err != nil {
-					return fmt.Errorf("coordinator: mixer %d/%d prepare noise: %w", i, s, err)
-				}
+			if err := m.PrepareNoise(settings.Service, settings.Round, settings.NumMailboxes); err != nil {
+				return fmt.Errorf("coordinator: mixer %d/%d prepare noise: %w", i, s, err)
 			}
 			return nil
 		})
@@ -809,56 +745,39 @@ func (c *Coordinator) openMixRound(settings *wire.RoundSettings) (err error) {
 // follow its import), and a daemon's exportkey allowlist must be
 // installed before any peer pulls from it (so the announcer's layout
 // call comes first of all, and the lead's precedes the other members').
-func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *roundPlan) error {
-	setShard := func(m Mixer, pos, s, count int, peers []string) error {
-		if pm, ok := m.(ShardPeerMixer); ok && len(peers) > 0 {
-			if err := pm.SetRoundShardPeers(service, round, s, count, peers); err != nil {
-				return fmt.Errorf("coordinator: position %d shard %d layout: %w", pos, s, err)
-			}
-			return nil
-		}
-		sm, ok := m.(ShardMixer)
-		if !ok || !supportsSharding(m) {
-			return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", pos, s)
-		}
-		if err := sm.SetRoundShard(service, round, s, count); err != nil {
-			return fmt.Errorf("coordinator: position %d shard %d layout: %w", pos, s, err)
-		}
-		return nil
-	}
-	return fanOut(len(c.Mixers), func(i int) error {
-		group := plan.group(i)
+func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *roundPlan, groups [][]ForwardMixer) error {
+	return fanOut(len(groups), func(i int) error {
+		group := groups[i]
 		if len(group) == 1 {
 			return nil
 		}
-		announcer, ok := group[0].(ForwardMixer)
-		if !ok || !announcer.SupportsForwarding() || !supportsSharding(group[0]) {
-			return fmt.Errorf("coordinator: position %d is sharded but its announcer cannot serve a shard group", i)
+		setShard := func(s int) error {
+			if err := group[s].SetRoundShard(service, round, s, len(group), plan.peers[i]); err != nil {
+				return fmt.Errorf("coordinator: position %d shard %d layout: %w", i, s, err)
+			}
+			return nil
 		}
-		peers := plan.peers[i]
+		importKey := func(s int, from string) error {
+			if err := group[s].ImportRoundKeyFrom(service, round, from); err != nil {
+				return fmt.Errorf("coordinator: position %d shard %d importing round key: %w", i, s, err)
+			}
+			return nil
+		}
 		// The announcer owns the round key, so its layout (and with it
 		// the export allowlist) installs before anyone pulls.
-		if err := setShard(group[0], i, 0, len(group), peers); err != nil {
+		if err := setShard(0); err != nil {
 			return err
 		}
 		li := plan.lead(i)
-		keyAddr := announcer.Addr()
+		keyAddr := group[0].Addr()
 		if li != 0 {
-			lm, ok := group[li].(ShardMixer)
-			if !ok || !supportsSharding(group[li]) {
-				return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", i, li)
-			}
-			if err := lm.ImportRoundKeyFrom(service, round, announcer.Addr()); err != nil {
-				return fmt.Errorf("coordinator: position %d lead %d importing round key: %w", i, li, err)
-			}
-			if err := setShard(group[li], i, li, len(group), peers); err != nil {
+			if err := importKey(li, keyAddr); err != nil {
 				return err
 			}
-			lf, ok := group[li].(ForwardMixer)
-			if !ok {
-				return fmt.Errorf("coordinator: position %d lead %d has no address", i, li)
+			if err := setShard(li); err != nil {
+				return err
 			}
-			keyAddr = lf.Addr()
+			keyAddr = group[li].Addr()
 		}
 		// The remaining members are independent of one another (only
 		// import-before-layout matters, per member), so they fan out
@@ -867,15 +786,10 @@ func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *
 			if s == 0 || s == li {
 				return nil
 			}
-			m := group[s]
-			sm, ok := m.(ShardMixer)
-			if !ok || !supportsSharding(m) {
-				return fmt.Errorf("coordinator: position %d shard %d does not support shard groups", i, s)
+			if err := importKey(s, keyAddr); err != nil {
+				return err
 			}
-			if err := sm.ImportRoundKeyFrom(service, round, keyAddr); err != nil {
-				return fmt.Errorf("coordinator: position %d shard %d importing round key: %w", i, s, err)
-			}
-			return setShard(m, i, s, len(group), peers)
+			return setShard(s)
 		})
 	})
 }
@@ -895,8 +809,8 @@ func (c *Coordinator) openShardGroups(service wire.Service, round uint32, plan *
 //
 // Otherwise the chain runs as the coordinator-relayed streaming pipeline:
 // the entry server hands the batch over in chunks, each mixer stage runs
-// in its own goroutine, and stages that implement StreamMixer start
-// decrypting while the upstream stage is still emitting. The final
+// in its own goroutine, and every stage starts decrypting while the
+// upstream stage is still emitting. The final
 // mailboxes are built sharded across workers and published without
 // copying. The returned map shares its byte slices with the CDN store
 // (the copy is skipped deliberately — at paper scale it is gigabytes per
@@ -1034,41 +948,26 @@ func (c *Coordinator) closeMixerRounds(service wire.Service, round uint32, plan 
 	})
 }
 
-// forwardGroups returns the chain as per-position ForwardMixer shard
-// groups when the chain-forward data plane is usable: ChainForward is
-// set, a CDN publish address exists, and every daemon supports streaming
-// and forwarding (plus the shard surface wherever a position is
-// sharded). An unsharded fleet that can't forward returns nil and the
-// round falls back to the coordinator-relayed pipeline; a SHARDED fleet
-// that can't forward is an error — the noise was divided at round open,
-// so no other data plane can run this round.
+// forwardGroups returns the round's planned chain as per-position
+// ForwardMixer shard groups when the coordinator runs the chain-forward
+// data plane, and nil when it relays. A chain-forward coordinator without
+// a CDN publish address, or with any planned member that cannot forward,
+// fails with ErrChainForwardUnavailable.
 func (c *Coordinator) forwardGroups(plan *roundPlan) ([][]ForwardMixer, error) {
-	sharded := c.sharded()
-	usable := c.ChainForward && !c.Sequential && c.CDNAddr != "" && len(c.Mixers) > 0
-	if !usable {
-		if sharded {
-			return nil, fmt.Errorf("coordinator: sharded positions require the chain-forward data plane")
-		}
+	if !c.ChainForward {
 		return nil, nil
 	}
-	groups := make([][]ForwardMixer, len(c.Mixers))
-	for i := range c.Mixers {
-		group := plan.group(i)
-		groups[i] = make([]ForwardMixer, len(group))
+	if c.CDNAddr == "" {
+		return nil, fmt.Errorf("%w: no CDN address", ErrChainForwardUnavailable)
+	}
+	groups := make([][]ForwardMixer, len(plan.groups))
+	for i, group := range plan.groups {
 		for s, m := range group {
-			fm, isForward := m.(ForwardMixer)
-			_, isStream := m.(StreamMixer)
-			ok := isForward && isStream && fm.SupportsForwarding() && supportsStreaming(m)
-			if ok && sharded && !supportsSharding(m) {
-				ok = false
-			}
+			fm, ok := m.(ForwardMixer)
 			if !ok {
-				if sharded {
-					return nil, fmt.Errorf("coordinator: position %d shard %d cannot serve a sharded chain-forward round", i, s)
-				}
-				return nil, nil
+				return nil, fmt.Errorf("%w: mixer %d/%d is not a forwarding daemon", ErrChainForwardUnavailable, i, s)
 			}
-			groups[i][s] = fm
+			groups[i] = append(groups[i], fm)
 		}
 	}
 	return groups, nil
@@ -1131,24 +1030,13 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 		if i == len(groups)-1 {
 			cdnAddr = c.CDNAddr
 			// Sharded mailbox building: when the LAST position is a multi-
-			// shard group and every member advertises the build surface,
-			// the merge server deals the post-shuffle batch by mailbox ID
-			// and each shard publishes its own slice straight to the CDN —
-			// the merged round's mailbox bytes never funnel through one
-			// machine. Any pre-build daemon in the group falls the whole
-			// group back to merge-builds-all (rolling upgrade).
+			// shard group, the merge server deals the post-shuffle batch by
+			// mailbox ID and each shard publishes its own slice straight to
+			// the CDN — the merged round's mailbox bytes never funnel
+			// through one machine.
 			if len(group) > 1 {
-				capable := true
 				for _, fm := range group {
-					if !supportsShardedBuild(fm) {
-						capable = false
-						break
-					}
-				}
-				if capable {
-					for _, fm := range group {
-						buildShards = append(buildShards, fm.Addr())
-					}
+					buildShards = append(buildShards, fm.Addr())
 				}
 			}
 		} else {
@@ -1273,7 +1161,7 @@ func (c *Coordinator) runChainForwarded(service wire.Service, round uint32, numM
 	return daemons, firstErr
 }
 
-// upstreamEnder is the fan-in end surface of a StreamMixer: a stream end
+// upstreamEnder is the fan-in end surface of a Mixer: a stream end
 // tagged with WHICH of a route's NumUpstream feeders finished, so the
 // daemon's counted intake closes exactly once per feeder.
 // rpc.MixerClient implements it (mix.stream.end with an upstream index).
@@ -1289,16 +1177,8 @@ type upstreamEnder interface {
 // the streams the first feeder opened and the ends carry this feeder's
 // upstream index for the shards' counted fan-in.
 func (c *Coordinator) feedFirstGroup(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte, chunkSize, upstream, numUpstream int, group []Mixer) error {
-	first := make([]StreamMixer, len(group))
 	for s, m := range group {
-		sm, ok := m.(StreamMixer)
-		if !ok {
-			return fmt.Errorf("coordinator: position 0 shard %d cannot stream", s)
-		}
-		first[s] = sm
-	}
-	for s, sm := range first {
-		if err := sm.StreamBegin(service, round, numMailboxes); err != nil {
+		if err := m.StreamBegin(service, round, numMailboxes); err != nil {
 			return fmt.Errorf("coordinator: opening stream to shard %d: %w", s, err)
 		}
 	}
@@ -1307,13 +1187,13 @@ func (c *Coordinator) feedFirstGroup(service wire.Service, round uint32, numMail
 		if hi > len(batch) {
 			hi = len(batch)
 		}
-		if err := first[i%len(first)].StreamChunk(service, round, batch[lo:hi]); err != nil {
+		if err := group[i%len(group)].StreamChunk(service, round, batch[lo:hi]); err != nil {
 			return err
 		}
 	}
-	for s, sm := range first {
+	for s, m := range group {
 		if numUpstream > 1 {
-			ue, ok := sm.(upstreamEnder)
+			ue, ok := m.(upstreamEnder)
 			if !ok {
 				return fmt.Errorf("coordinator: position 0 shard %d cannot take an upstream-tagged end", s)
 			}
@@ -1322,60 +1202,26 @@ func (c *Coordinator) feedFirstGroup(service wire.Service, round uint32, numMail
 			}
 			continue
 		}
-		if _, err := sm.StreamEnd(service, round); err != nil {
+		if _, err := m.StreamEnd(service, round); err != nil {
 			return fmt.Errorf("coordinator: closing stream to shard %d: %w", s, err)
 		}
 	}
 	return nil
 }
 
-// runChain streams the batch through the mix chain. Stages run
-// concurrently; mixers without streaming support are driven by a
-// full-batch Mix call inside their stage, which still overlaps with the
-// other stages' noise generation and emission.
+// runChain streams the batch through the mix chain, every stage on its
+// own goroutine, each relaying its output through this process to the
+// next.
 func (c *Coordinator) runChain(service wire.Service, round uint32, numMailboxes uint32, source <-chan [][]byte, chunkSize int) ([][]byte, error) {
 	stages := make([]mixnet.ChunkMixer, len(c.Mixers))
 	for i, m := range c.Mixers {
-		if sm, ok := m.(StreamMixer); ok && !c.Sequential && supportsStreaming(m) {
-			stages[i] = sm
-		} else {
-			stages[i] = &bufferedStage{m: m}
-		}
+		stages[i] = m
 	}
 	out, err := mixnet.RunPipeline(stages, service, round, numMailboxes, source, chunkSize)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
 	return out, nil
-}
-
-// bufferedStage adapts a full-batch Mixer to the streaming pipeline: it
-// accumulates chunks and runs Mix once at StreamEnd. Used for remote
-// daemons that predate the streaming RPC surface, and for benchmarking the
-// unpipelined chain.
-type bufferedStage struct {
-	m            Mixer
-	numMailboxes uint32
-	batch        [][]byte
-}
-
-func (b *bufferedStage) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	b.numMailboxes = numMailboxes
-	return nil
-}
-
-func (b *bufferedStage) StreamChunk(service wire.Service, round uint32, chunk [][]byte) error {
-	b.batch = append(b.batch, chunk...)
-	return nil
-}
-
-func (b *bufferedStage) StreamEnd(service wire.Service, round uint32) ([][]byte, error) {
-	return b.m.Mix(service, round, b.numMailboxes, b.batch)
-}
-
-func (b *bufferedStage) StreamAbort(service wire.Service, round uint32) error {
-	b.batch = nil
-	return nil
 }
 
 // FinishAddFriendRound erases every PKG's master secret for the round

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"alpenhorn/internal/bloom"
@@ -196,81 +197,23 @@ func makeTokens(n int) [][]byte {
 
 // TestPipelinedRoundDeliversTokens runs a full dialing round through the
 // streaming pipeline (small chunks, so every server sees multiple chunks)
-// and through the sequential full-batch path, checking both deliver every
-// token to its mailbox.
+// and checks it delivers every token to its mailbox.
 func TestPipelinedRoundDeliversTokens(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		c := newTestCoordinator(t, 3, 0)
-		c.ChunkSize = 16
-		c.Sequential = sequential
-		c.TargetRequestsPerMailbox = 40
-		c.SetExpectedVolume(wire.Dialing, 120)
-
-		settings, err := c.OpenDialingRound(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if settings.NumMailboxes < 2 {
-			t.Fatalf("want a multi-mailbox round, got K=%d", settings.NumMailboxes)
-		}
-		tokens := makeTokens(120)
-		submitDialTokens(t, c, settings, tokens)
-
-		mailboxes, err := c.CloseRound(wire.Dialing, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tok := range tokens {
-			mb := uint32(i) % settings.NumMailboxes
-			f, err := bloom.Unmarshal(mailboxes[mb])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Test(tok) {
-				t.Fatalf("sequential=%v: token %d missing from mailbox %d", sequential, i, mb)
-			}
-		}
-		if !c.CDN.Published(wire.Dialing, 1) {
-			t.Fatal("round not published")
-		}
-	}
-}
-
-// legacyMixer wraps a *mixnet.Server but reports no streaming support, the
-// coordinator's view of a daemon built before the streaming RPC surface.
-// Any use of the streaming methods fails the test.
-type legacyMixer struct {
-	*mixnet.Server
-	t *testing.T
-}
-
-func (l *legacyMixer) SupportsStreaming() bool { return false }
-
-func (l *legacyMixer) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
-	l.t.Error("PrepareNoise called on a mixer that does not support it")
-	return nil
-}
-
-func (l *legacyMixer) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
-	l.t.Error("StreamBegin called on a mixer that does not support it")
-	return nil
-}
-
-// TestLegacyMixerFallsBackToFullBatch: a mixer that reports no streaming
-// support must be driven through full-batch Mix only — the rolling-upgrade
-// path where the coordinator is newer than a mixer daemon.
-func TestLegacyMixerFallsBackToFullBatch(t *testing.T) {
-	c := newTestCoordinator(t, 2, 0)
-	c.Mixers[0] = &legacyMixer{Server: c.Mixers[0].(*mixnet.Server), t: t}
+	c := newTestCoordinator(t, 3, 0)
+	c.ChunkSize = 16
 	c.TargetRequestsPerMailbox = 40
-	c.SetExpectedVolume(wire.Dialing, 60)
+	c.SetExpectedVolume(wire.Dialing, 120)
 
 	settings, err := c.OpenDialingRound(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens := makeTokens(60)
+	if settings.NumMailboxes < 2 {
+		t.Fatalf("want a multi-mailbox round, got K=%d", settings.NumMailboxes)
+	}
+	tokens := makeTokens(120)
 	submitDialTokens(t, c, settings, tokens)
+
 	mailboxes, err := c.CloseRound(wire.Dialing, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +227,9 @@ func TestLegacyMixerFallsBackToFullBatch(t *testing.T) {
 		if !f.Test(tok) {
 			t.Fatalf("token %d missing from mailbox %d", i, mb)
 		}
+	}
+	if !c.CDN.Published(wire.Dialing, 1) {
+		t.Fatal("round not published")
 	}
 }
 
@@ -413,7 +359,7 @@ func TestShardedConfigRequiresCapableFleet(t *testing.T) {
 		t.Fatal("sharded round opened over a fleet that cannot forward")
 	}
 	c.ChainForward, c.CDNAddr = true, "127.0.0.1:1"
-	if _, err := c.OpenDialingRound(2); err == nil {
-		t.Fatal("sharded round opened over in-process mixers with no shard surface")
+	if _, err := c.OpenDialingRound(2); !errors.Is(err, ErrChainForwardUnavailable) {
+		t.Fatalf("sharded round over in-process mixers: err = %v, want ErrChainForwardUnavailable", err)
 	}
 }

@@ -50,16 +50,6 @@ type Prober interface {
 	Probe() error
 }
 
-// ShardPeerMixer is the optional peer-allowlist variant of ShardMixer's
-// layout call: SetRoundShard plus the round's shard network — the dial
-// addresses of every member planned into the group, spares included.
-// Daemons that receive a peer list refuse mix.round.exportkey calls from
-// any other host for the round, so only the planned group can pull the
-// round's private key. rpc.MixerClient implements it.
-type ShardPeerMixer interface {
-	SetRoundShardPeers(service wire.Service, round uint32, index, count int, peers []string) error
-}
-
 // benchCooldownRounds is how many rounds a benched daemon sits out after
 // its bench round even once it probes healthy again: re-admission needs
 // both a successful probe AND a round of distance from the failure, so a

@@ -20,18 +20,23 @@ func (m *stubMixer) NewRound(wire.Service, uint32) (wire.MixerRoundKey, error) {
 	return wire.MixerRoundKey{}, nil
 }
 func (m *stubMixer) SetDownstreamKeys(wire.Service, uint32, [][]byte) error { return nil }
-func (m *stubMixer) Mix(wire.Service, uint32, uint32, [][]byte) ([][]byte, error) {
-	return nil, nil
-}
-func (m *stubMixer) CloseRound(wire.Service, uint32)                 {}
-func (m *stubMixer) NoiseMu(wire.Service) float64                    { return 0 }
-func (m *stubMixer) Addr() string                                    { return m.addr }
-func (m *stubMixer) SupportsForwarding() bool                        { return true }
-func (m *stubMixer) OpenRoute(wire.Service, uint32, RouteSpec) error { return nil }
+func (m *stubMixer) PrepareNoise(wire.Service, uint32, uint32) error        { return nil }
+func (m *stubMixer) StreamBegin(wire.Service, uint32, uint32) error         { return nil }
+func (m *stubMixer) StreamChunk(wire.Service, uint32, [][]byte) error       { return nil }
+func (m *stubMixer) StreamEnd(wire.Service, uint32) ([][]byte, error)       { return nil, nil }
+func (m *stubMixer) StreamAbort(wire.Service, uint32) error                 { return nil }
+func (m *stubMixer) CloseRound(wire.Service, uint32)                        {}
+func (m *stubMixer) NoiseMu(wire.Service) float64                           { return 0 }
+func (m *stubMixer) Addr() string                                           { return m.addr }
+func (m *stubMixer) OpenRoute(wire.Service, uint32, RouteSpec) error        { return nil }
 func (m *stubMixer) WaitRound(wire.Service, uint32) (wire.MixerRoundStats, error) {
 	return wire.MixerRoundStats{}, nil
 }
 func (m *stubMixer) AbortRound(wire.Service, uint32, string) error { return nil }
+func (m *stubMixer) SetRoundShard(wire.Service, uint32, int, int, []string) error {
+	return nil
+}
+func (m *stubMixer) ImportRoundKeyFrom(wire.Service, uint32, string) error { return nil }
 func (m *stubMixer) Probe() error {
 	if m.alive {
 		return nil

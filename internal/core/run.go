@@ -3,15 +3,12 @@ package core
 // This file is the client's managed round loop: the event-driven
 // connection behind the paper's Figure 1 API. Applications call Run (or
 // the per-service ConnectAddFriend / ConnectDialing handles) and receive
-// everything through their Handler; the library owns the mechanics that
-// every consumer previously hand-rolled around frontend.Status polling:
+// everything through their Handler; the library owns the mechanics:
 //
 //   - Round following. One shared pump per client follows the frontend's
-//     round announcements — push-based through RoundWatcher (the
-//     entry.events stream, resumable by cursor) with a TRANSPARENT
-//     fallback to StatusProvider polling when the frontend predates the
-//     stream — and reconnects with exponential backoff when the frontend
-//     dies mid-round.
+//     round announcements through RoundWatcher (the entry.events stream,
+//     resumable by cursor) and reconnects with exponential backoff when
+//     the frontend dies mid-round.
 //   - Submit ordering. Each open round is submitted exactly once
 //     (cover traffic included), and a round's add-friend mailbox is only
 //     scanned when this client submitted that round (the identity keys
@@ -38,9 +35,9 @@ import (
 )
 
 const (
-	// DefaultPollInterval is the Status poll cadence against frontends
-	// without the event stream (Config.PollInterval overrides).
-	DefaultPollInterval = 500 * time.Millisecond
+	// retryInterval paces a service loop's retry of a failed submit or
+	// scan step.
+	retryInterval = 500 * time.Millisecond
 
 	// DefaultScanRetryBudget is how long a failing dialing-round scan is
 	// retried before the loop gives up and advances the keywheels
@@ -60,13 +57,6 @@ const (
 	maxScanSpan = 32
 )
 
-func (c *Client) pollInterval() time.Duration {
-	if c.cfg.PollInterval > 0 {
-		return c.cfg.PollInterval
-	}
-	return DefaultPollInterval
-}
-
 func (c *Client) scanRetryBudget() time.Duration {
 	if c.cfg.ScanRetryBudget > 0 {
 		return c.cfg.ScanRetryBudget
@@ -75,8 +65,7 @@ func (c *Client) scanRetryBudget() time.Duration {
 }
 
 // roundFeed is the per-client round-announcement pump shared by every
-// connected service handle. It folds announcements (pushed or polled)
-// into a monotonic per-service RoundStatus and wakes waiting handles on
+// connected service handle. It folds announcements into a monotonic per-service RoundStatus and wakes waiting handles on
 // every change. Reference-counted: the first handle starts it, the last
 // Close stops it.
 type roundFeed struct {
@@ -93,10 +82,9 @@ type roundFeed struct {
 
 // acquireFeed returns the client's round feed, starting it on first use.
 func (c *Client) acquireFeed() (*roundFeed, error) {
-	_, isWatcher := c.cfg.Entry.(RoundWatcher)
-	_, isPoller := c.cfg.Entry.(StatusProvider)
-	if !isWatcher && !isPoller {
-		return nil, errors.New("core: Config.Entry supports neither round events (RoundWatcher) nor status polling (StatusProvider); Run needs one")
+	watcher, ok := c.cfg.Entry.(RoundWatcher)
+	if !ok {
+		return nil, errors.New("core: Config.Entry does not stream round events (RoundWatcher); Run needs it")
 	}
 	c.feedMu.Lock()
 	defer c.feedMu.Unlock()
@@ -109,7 +97,7 @@ func (c *Client) acquireFeed() (*roundFeed, error) {
 			cancel:  cancel,
 			done:    make(chan struct{}),
 		}
-		go f.run(ctx)
+		go f.run(ctx, watcher)
 		c.feed = f
 	}
 	c.feed.refs++
@@ -138,17 +126,6 @@ func (f *roundFeed) status(service wire.Service) (entry.RoundStatus, <-chan stru
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.state[service], f.changed
-}
-
-// fold merges new round progress into the state. Progress is monotonic:
-// folding with max makes coalesced (gap) replies and duplicate
-// announcements harmless.
-func (f *roundFeed) fold(service wire.Service, st entry.RoundStatus) {
-	f.mu.Lock()
-	if f.foldLocked(service, st) {
-		f.wakeLocked()
-	}
-	f.mu.Unlock()
 }
 
 // foldAnnouncements folds a whole batch of announcements as ONE state
@@ -202,87 +179,44 @@ func (f *roundFeed) wakeLocked() {
 	f.changed = make(chan struct{})
 }
 
-// run follows the frontend until the feed is released. Push mode parks on
-// WatchRounds and folds announcement batches; on ErrEventsUnsupported it
-// degrades permanently to Status polling. Transport failures reconnect
-// with exponential backoff and are reported to the handler once per
-// outage, not once per attempt.
-func (f *roundFeed) run(ctx context.Context) {
+// run follows the frontend until the feed is released: it parks on
+// WatchRounds and folds announcement batches. Transport failures
+// reconnect with exponential backoff and are reported to the handler
+// once per outage, not once per attempt.
+func (f *roundFeed) run(ctx context.Context, watcher RoundWatcher) {
 	defer close(f.done)
-	watcher, _ := f.c.cfg.Entry.(RoundWatcher)
-	poller, _ := f.c.cfg.Entry.(StatusProvider)
-
 	var cursor uint64
 	backoff := feedBackoffMin
 	outage := 0
-	sleep := func(d time.Duration) bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(d):
-			return true
-		}
-	}
-
 	for ctx.Err() == nil {
-		if watcher != nil {
-			anns, next, err := watcher.WatchRounds(ctx, cursor)
-			if err == nil {
-				cursor = next
-				backoff, outage = feedBackoffMin, 0
-				// Settings riding the open events (EventStreamV2, or
-				// the in-process adapter) pre-fill the cache BEFORE the
-				// fold wakes the service loops, so their submits start
-				// from a hit.
-				for _, ann := range anns {
-					if ann.Kind == entry.RoundOpen {
-						f.c.noteAnnouncedSettings(ann)
-					}
+		anns, next, err := watcher.WatchRounds(ctx, cursor)
+		if err == nil {
+			cursor = next
+			backoff, outage = feedBackoffMin, 0
+			// Settings riding the open events pre-fill the cache BEFORE
+			// the fold wakes the service loops, so their submits start
+			// from a hit.
+			for _, ann := range anns {
+				if ann.Kind == entry.RoundOpen {
+					f.c.noteAnnouncedSettings(ann)
 				}
-				f.foldAnnouncements(anns)
-				continue
 			}
-			if errors.Is(err, ErrEventsUnsupported) {
-				// Older frontend: degrade to polling for good.
-				watcher = nil
-				if poller == nil {
-					f.c.reportErr(errors.New("core: frontend streams no round events and serves no status; round loop stalled"))
-					<-ctx.Done()
-					return
-				}
-				continue
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			if outage++; outage == 1 {
-				f.c.reportErr(fmt.Errorf("core: round event stream lost: %w (reconnecting)", err))
-			}
-			if !sleep(backoff) {
-				return
-			}
-			if backoff *= 2; backoff > feedBackoffMax {
-				backoff = feedBackoffMax
-			}
+			f.foldAnnouncements(anns)
 			continue
 		}
-
-		for _, service := range []wire.Service{wire.AddFriend, wire.Dialing} {
-			st, err := poller.Status(ctx, service)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				if outage++; outage == 1 {
-					f.c.reportErr(fmt.Errorf("core: frontend status poll failed: %w (retrying)", err))
-				}
-				continue
-			}
-			outage = 0
-			f.fold(service, st)
-		}
-		if !sleep(f.c.pollInterval()) {
+		if ctx.Err() != nil {
 			return
+		}
+		if outage++; outage == 1 {
+			f.c.reportErr(fmt.Errorf("core: round event stream lost: %w (reconnecting)", err))
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
+		if backoff *= 2; backoff > feedBackoffMax {
+			backoff = feedBackoffMax
 		}
 	}
 }
@@ -437,8 +371,8 @@ func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.R
 
 	if h.service == wire.AddFriend {
 		// Scan BEFORE submitting: a reconnecting client often learns
-		// publish(N) and open(N+1) in one snapshot (coalesced events, or
-		// one poll), and submitting N+1 first would gate round N's scan
+		// publish(N) and open(N+1) in one snapshot (coalesced events),
+		// and submitting N+1 first would gate round N's scan
 		// off forever — losing any friend requests it carried.
 		// Scan only rounds this client submitted: the round's identity
 		// keys exist exactly then (and are erased by the scan).
@@ -463,7 +397,7 @@ func (h *ServiceHandle) step(ctx context.Context, st *serviceState, snap entry.R
 						c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (retrying for up to %v)", round, err, c.scanRetryBudget()))
 						st.retryLogged = true
 					}
-					sooner(c.pollInterval())
+					sooner(retryInterval)
 					return retry
 				}
 				c.reportErr(fmt.Errorf("core: add-friend round %d scan: %w (giving up after %v)", round, err, c.scanRetryBudget()))
@@ -516,7 +450,7 @@ func (h *ServiceHandle) reportStep(ctx context.Context, st *serviceState, servic
 	if st.errStreak++; st.errStreak == 1 {
 		h.c.reportErr(fmt.Errorf("core: %s round %d %s: %w (will retry)", service, round, phase, err))
 	}
-	return h.c.pollInterval()
+	return retryInterval
 }
 
 // drainDialBacklog scans queued published rounds oldest-first. A span of
@@ -630,5 +564,5 @@ func (h *ServiceHandle) scanFailed(ctx context.Context, st *serviceState, round 
 		c.reportErr(fmt.Errorf("%w (retrying for up to %v)", err, c.scanRetryBudget()))
 		st.retryLogged = true
 	}
-	return c.pollInterval()
+	return retryInterval
 }

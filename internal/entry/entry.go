@@ -104,8 +104,8 @@ type Announcement struct {
 
 // RoundStatus is a service's round progress at a point in time: the
 // newest announced round and the newest round whose mailboxes are
-// published. Zero means "none yet". It is the poll-based view of the
-// event log, kept for clients talking to frontends without entry.events.
+// published. Zero means "none yet". It is the folded view of the event
+// log; a frontend replica uses it to drop duplicate announcements.
 // EventDrops counts announcements for this service that overflowed a
 // subscriber's buffer — the server-side view of the gaps subscribers
 // detect via cursor jumps.

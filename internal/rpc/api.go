@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"alpenhorn/internal/bls"
-	"alpenhorn/internal/core"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/ibe"
 	"alpenhorn/internal/pkgserver"
@@ -185,46 +184,16 @@ func (p *PKGClient) CloseRound(round uint32) {
 
 // ---- Mixer daemon API ----
 
-// Streaming capability versions advertised in MixerInfo.StreamVersion.
-// Each version includes everything below it.
-const (
-	// StreamVersionNone: pre-streaming daemon; full-batch mix.mix only.
-	StreamVersionNone = 0
-	// StreamVersionRelay: mix.preparenoise + mix.stream.* with the
-	// coordinator relaying each server's output downstream (PR 1).
-	StreamVersionRelay = 1
-	// StreamVersionForward: mix.round.route/wait/abort — the daemon
-	// pushes its post-shuffle output to its successor itself and the
-	// last server publishes mailboxes straight to the CDN.
-	StreamVersionForward = 2
-	// StreamVersionShard: shard-group routes — one chain position served
-	// by several daemons (mix.round.shard, mix.round.exportkey/importkey,
-	// the mix.merge.* deposit surface, and fan-out/fan-in routing).
-	StreamVersionShard = 3
-	// StreamVersionCDNShard: sharded mailbox building — after the merged
-	// shuffle the last group's merge server deals request bodies by
-	// mailbox ID across its shards (mix.deal.*), each shard builds its own
-	// ID range and publishes it over its own shard-tagged cdn.publish
-	// stream. The merge server never touches the other shards' final
-	// mailbox bytes.
-	StreamVersionCDNShard = 4
-)
-
-// MixerInfo advertises a mixer's pinned key and chain position.
-// StreamVersion reports which generation of the streaming surface the
-// daemon serves (see the StreamVersion constants); Streaming is the legacy
-// capability bit that predates versioning and is kept so a newer
-// coordinator still recognizes a StreamVersionRelay daemon that only sets
-// the bool. Daemons built before streaming leave both zero and the
-// coordinator falls back to full-batch mix.mix calls.
+// MixerInfo advertises a mixer's pinned key, chain position, and noise
+// parameters. Every daemon serves the same RPC surface (RegisterMixer):
+// chunked streaming, chain-forward routing, shard groups, and sharded
+// mailbox building.
 type MixerInfo struct {
-	Name          string  `json:"name"`
-	Position      int     `json:"position"`
-	SigningKey    []byte  `json:"signing_key"`
-	AddFriendMu   float64 `json:"add_friend_mu"`
-	DialingMu     float64 `json:"dialing_mu"`
-	Streaming     bool    `json:"streaming,omitempty"`
-	StreamVersion int     `json:"stream_version,omitempty"`
+	Name        string  `json:"name"`
+	Position    int     `json:"position"`
+	SigningKey  []byte  `json:"signing_key"`
+	AddFriendMu float64 `json:"add_friend_mu"`
+	DialingMu   float64 `json:"dialing_mu"`
 	// ShardIndex/ShardCount advertise the daemon's pinned place in its
 	// position's shard group (-shard i/N); ShardCount 0 means unpinned
 	// (a whole position to itself unless the coordinator says otherwise).
@@ -273,8 +242,7 @@ type streamPullArgs struct {
 // plane.
 
 // MixerClient talks to a remote mixer daemon; it satisfies the
-// coordinator's Mixer interface and, for StreamVersionForward daemons, its
-// ForwardMixer control surface.
+// coordinator's Mixer interface and its ForwardMixer control surface.
 type MixerClient struct {
 	addr string
 	c    *Client
@@ -353,62 +321,15 @@ func (m *MixerClient) SetDownstreamKeys(service wire.Service, round uint32, keys
 	return m.c.Call("mix.setdownstream", downstreamArgs{Service: service, Round: round, Keys: keys}, nil)
 }
 
-// Mix implements coordinator.Mixer.
-func (m *MixerClient) Mix(service wire.Service, round uint32, numMailboxes uint32, batch [][]byte) ([][]byte, error) {
-	var out [][]byte
-	err := m.c.Call("mix.mix", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes, Batch: batch}, &out)
-	return out, err
-}
-
-// SupportsStreaming reports whether the daemon advertises the
-// mix.preparenoise / mix.stream.* surface (coordinator.streamCapable);
-// daemons built before it existed report false and the coordinator drives
-// them through full-batch Mix.
-func (m *MixerClient) SupportsStreaming() bool {
-	return m.info.Streaming || m.info.StreamVersion >= StreamVersionRelay
-}
-
-// SupportsForwarding reports whether the daemon serves the chain-forward
-// surface (mix.round.route/wait/abort); the coordinator only switches the
-// data plane to server-to-server forwarding when every mixer does.
-func (m *MixerClient) SupportsForwarding() bool {
-	return m.info.StreamVersion >= StreamVersionForward
-}
-
-// SupportsSharding reports whether the daemon serves the shard-group
-// surface (per-round shard layouts, group key exchange, merge deposits).
-// The coordinator refuses to open a sharded round unless every daemon in
-// the fleet does — a partial shard rollout cannot silently degrade the
-// noise division.
-func (m *MixerClient) SupportsSharding() bool {
-	return m.info.StreamVersion >= StreamVersionShard
-}
-
-// SupportsShardedBuild reports whether the daemon serves the sharded
-// mailbox-building surface (mix.deal.*, shard-tagged cdn.publish). The
-// coordinator only splits the last position's build across its shard
-// group when every daemon in that group does; otherwise the merge server
-// builds all mailboxes itself, exactly as StreamVersionShard rounds did.
-func (m *MixerClient) SupportsShardedBuild() bool {
-	return m.info.StreamVersion >= StreamVersionCDNShard
-}
-
-// SetRoundShard implements coordinator.ShardMixer: the daemon is shard
-// `index` of `count` jointly serving its chain position this round. Must
-// precede PrepareNoise — the group divides the position's noise.
-func (m *MixerClient) SetRoundShard(service wire.Service, round uint32, index, count int) error {
-	return m.c.Call("mix.round.shard", shardArgs{
-		Service: service, Round: round, ShardIndex: index, ShardCount: count,
-	}, nil)
-}
-
-// SetRoundShardPeers implements coordinator.ShardPeerMixer: SetRoundShard
-// plus the round's shard network — the dial addresses of every member the
-// coordinator placed in the group (spares included). The daemon refuses
-// mix.round.exportkey calls from any other host for the round, so a
+// SetRoundShard implements coordinator.ForwardMixer: the daemon is shard
+// `index` of `count` jointly serving its chain position this round, and
+// peers is the round's shard network — the dial addresses of every member
+// the coordinator placed in the group (spares included). The daemon
+// serves mix.round.exportkey for the round only to hosts in peers, so a
 // drafted spare or rotated lead can pull the round key but a stray caller
-// cannot. An empty peer list preserves the ungated legacy behavior.
-func (m *MixerClient) SetRoundShardPeers(service wire.Service, round uint32, index, count int, peers []string) error {
+// cannot. Must precede PrepareNoise — the group divides the position's
+// noise.
+func (m *MixerClient) SetRoundShard(service wire.Service, round uint32, index, count int, peers []string) error {
 	return m.c.Call("mix.round.shard", shardArgs{
 		Service: service, Round: round, ShardIndex: index, ShardCount: count,
 		Peers: peers,
@@ -431,7 +352,7 @@ func (m *MixerClient) Probe() error {
 	return m.c.CallContext(ctx, "mix.info", struct{}{}, &info)
 }
 
-// ImportRoundKeyFrom implements coordinator.ShardMixer: the daemon dials
+// ImportRoundKeyFrom implements coordinator.ForwardMixer: the daemon dials
 // the shard group's lead directly and installs the position's round onion
 // key. The private key moves server-to-server inside the group's trust
 // domain; the coordinator only names the source.
@@ -444,24 +365,16 @@ func (m *MixerClient) ImportRoundKeyFrom(service wire.Service, round uint32, lea
 // OpenRoute implements coordinator.ForwardMixer: it tells the daemon
 // where this round's post-shuffle output goes — the successor position's
 // shard set (or the CDN's publish address for the last position) — and
-// its own shard-group placement. A single unsharded successor rides the
-// legacy Successor field so a StreamVersionForward daemon in an unsharded
-// chain keeps working during a rolling upgrade.
+// its own shard-group placement.
 func (m *MixerClient) OpenRoute(service wire.Service, round uint32, spec wire.RouteSpec) error {
-	a := routeArgs{
+	return m.c.Call("mix.round.route", routeArgs{
 		Service: service, Round: round,
 		NumMailboxes: spec.NumMailboxes, ChunkSize: spec.ChunkSize,
 		CDNAddr:    spec.CDNAddr,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
-		MergeAddr: spec.MergeAddr, NumUpstream: spec.NumUpstream,
-		BuildShards: spec.BuildShards,
-	}
-	if len(spec.Successors) == 1 && spec.ShardCount <= 1 {
-		a.Successor = spec.Successors[0]
-	} else {
-		a.Successors = spec.Successors
-	}
-	return m.c.Call("mix.round.route", a, nil)
+		MergeAddr: spec.MergeAddr, Successors: spec.Successors,
+		NumUpstream: spec.NumUpstream, BuildShards: spec.BuildShards,
+	}, nil)
 }
 
 // WaitRound implements coordinator.ForwardMixer: it blocks until the
@@ -515,20 +428,20 @@ func (m *MixerClient) AbortRound(service wire.Service, round uint32, reason stri
 	return m.c.Call("mix.round.abort", abortArgs{Service: service, Round: round, Reason: reason}, nil)
 }
 
-// PrepareNoise implements coordinator.NoisePreparer: the daemon starts
+// PrepareNoise implements coordinator.Mixer: the daemon starts
 // generating round noise in the background as soon as settings are fixed.
 func (m *MixerClient) PrepareNoise(service wire.Service, round uint32, numMailboxes uint32) error {
 	return m.c.Call("mix.preparenoise", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamBegin implements coordinator.StreamMixer. Sent at most once: a
+// StreamBegin implements mixnet.ChunkMixer. Sent at most once: a
 // duplicate begin (request executed, reply lost) would error "stream
 // already in progress" and fail the round for no reason.
 func (m *MixerClient) StreamBegin(service wire.Service, round uint32, numMailboxes uint32) error {
 	return m.c.CallOnce("mix.stream.begin", mixArgs{Service: service, Round: round, NumMailboxes: numMailboxes}, nil)
 }
 
-// StreamChunk implements coordinator.StreamMixer. Chunks are framed as
+// StreamChunk implements mixnet.ChunkMixer. Chunks are framed as
 // ordinary calls: the daemon acknowledges intake immediately and decrypts
 // on its worker pool, so consecutive chunks overlap with decryption.
 // Sent at most once — a transparent retry after a lost reply would
@@ -538,7 +451,7 @@ func (m *MixerClient) StreamChunk(service wire.Service, round uint32, chunk [][]
 	return m.c.CallOnce("mix.stream.chunk", mixArgs{Service: service, Round: round, Batch: chunk}, nil)
 }
 
-// StreamEnd implements coordinator.StreamMixer: it blocks until the daemon
+// StreamEnd implements mixnet.ChunkMixer: it blocks until the daemon
 // has decrypted every chunk, added noise, and shuffled, then pulls the
 // output batch in frame-sized chunks. When the round has a forwarding
 // route open, the daemon instead pushes the output to its successor
@@ -580,7 +493,7 @@ func (m *MixerClient) StreamEndAs(service wire.Service, round uint32, upstream i
 	return out, nil
 }
 
-// StreamAbort implements coordinator.StreamMixer's cheap failure path.
+// StreamAbort implements mixnet.ChunkMixer's cheap failure path.
 func (m *MixerClient) StreamAbort(service wire.Service, round uint32) error {
 	return m.c.Call("mix.stream.abort", roundArgs{Service: service, Round: round}, nil)
 }
@@ -600,48 +513,17 @@ func (m *MixerClient) NoiseMu(service wire.Service) float64 {
 
 // ---- Entry/CDN daemon API (the client-facing frontend) ----
 
-// Frontend event-stream capability versions, advertised in
-// Directory.EventStreamVersion. Like the mixer fleet's stream_version,
-// this is how the poll→push migration stays a rolling upgrade: a client
-// that sees version 0 (or a directory predating the field) never calls
-// entry.events and polls frontend.status exactly as before; a frontend
-// that serves EventStreamV1 still serves the poll surface for old
-// clients. Clients also degrade TRANSPARENTLY on an "unknown method"
-// reply, so even a stale cached directory cannot wedge them.
-const (
-	// EventStreamNone: poll-only frontend (frontend.status).
-	EventStreamNone = 0
-	// EventStreamV1: entry.events long-poll with resumable cursors and
-	// coalescing for slow clients, plus ranged mailbox fetches
-	// (cdn.fetchrange).
-	EventStreamV1 = 1
-	// EventStreamV2: round-open events CARRY the round's settings
-	// (wireEvent.Settings, the canonical wire.RoundSettings encoding), so
-	// a streaming client never issues a per-round entry.settings fetch.
-	// Settings are self-authenticating — every mixer and PKG contribution
-	// is signed under keys the client pins — so riding them over the
-	// untrusted push channel changes nothing about their trust story; the
-	// client verifies them exactly as it would a fetched copy. Degradation
-	// is transparent in both directions: a V1 frontend's events simply
-	// lack the field and the client falls back to fetching, while a V1
-	// client ignores the extra field. V2 frontends still serve
-	// entry.settings for old clients and for consumers (scans after a
-	// restart) whose open event has left the retained window.
-	EventStreamV2 = 2
-)
-
 // Directory describes a full deployment to connecting clients: addresses
-// and pinned keys for every server. Served by the entry daemon.
+// and pinned keys for every server. Served by every entry frontend, all
+// of which serve the same client surface (RegisterFrontend): round
+// events that carry their settings, submission, and single and ranged
+// mailbox fetches.
 type Directory struct {
 	PKGAddrs   []string `json:"pkg_addrs"`
 	PKGKeys    [][]byte `json:"pkg_keys"`
 	PKGBLSKeys [][]byte `json:"pkg_bls_keys"`
 	MixerKeys  [][]byte `json:"mixer_keys"`
 	NumMixers  int      `json:"num_mixers"`
-	// EventStreamVersion advertises the frontend's round-event surface
-	// (see the EventStream constants). Omitted by older frontends, which
-	// JSON-decodes to 0 = poll only.
-	EventStreamVersion int `json:"event_stream_version,omitempty"`
 	// PairingVersion advertises the deployment's sealed-ciphertext tier
 	// (≥2 = the optimal-ate v2 pairing; 0/absent = v1 Tate). Advisory:
 	// the authoritative per-round version is the capability byte in the
@@ -680,10 +562,6 @@ type fetchArgs struct {
 	Mailbox uint32       `json:"mailbox"`
 }
 
-// RoundStatus is the poll-based round-progress snapshot, now defined by
-// the entry server's event log.
-type RoundStatus = entry.RoundStatus
-
 // eventsArgs is the entry.events long-poll request: announcements after
 // Cursor, waiting up to WaitMs for news (bounded by maxEventsWait), at
 // most Max events per reply.
@@ -693,11 +571,13 @@ type eventsArgs struct {
 	Max    int    `json:"max,omitempty"`
 }
 
-// wireEvent is one round announcement on the wire. On an EventStreamV2
-// frontend a round-open event carries the round's canonical settings
-// encoding so the client never fetches them separately; V1 frontends omit
-// the field and the stream stays a few bytes per round. Either way the
-// client signature-checks settings against its pinned keys before use.
+// wireEvent is one round announcement on the wire. A round-open event
+// carries the round's canonical settings encoding so a streaming client
+// never issues a per-round entry.settings fetch. Settings are
+// self-authenticating — every mixer and PKG contribution is signed under
+// keys the client pins — so riding them over the untrusted push channel
+// changes nothing about their trust story: the client signature-checks
+// them exactly as it would a fetched copy.
 type wireEvent struct {
 	Cursor   uint64       `json:"cursor"`
 	Service  wire.Service `json:"service"`
@@ -731,9 +611,8 @@ type rangedBox struct {
 const (
 	// maxEventsWait bounds how long one entry.events call may park
 	// server-side. Long parks are the point of the long-poll — an idle
-	// streaming client costs the frontend one request per maxEventsWait
-	// instead of 2 Hz×2 services of status polls — and Server.Closing
-	// unparks them all at shutdown.
+	// streaming client costs the frontend one request per maxEventsWait —
+	// and Server.Closing unparks them all at shutdown.
 	maxEventsWait = 30 * time.Second
 	// eventsClientWait is the park clients request per entry.events call.
 	eventsClientWait = 25 * time.Second
@@ -752,15 +631,22 @@ type MailboxSource interface {
 	FetchRange(service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error)
 }
 
-// registerFrontendCommon installs the surface served by every frontend
-// generation: directory, status polling, settings, submission, and
-// per-round mailbox fetch.
-func registerFrontendCommon(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
+// RegisterFrontend exposes the entry server, CDN fetch surface, and
+// deployment directory over RPC: entry.events (a resumable long-poll over
+// the entry server's cursor-stamped announcement log, the same framing
+// family as mix.round.wait, with round settings riding inside open
+// events), entry.settings for consumers whose open event has left the
+// retained window, entry.submit, and cdn.fetch / cdn.fetchrange (one
+// request for a span of rounds).
+//
+// This is the CLIENT-facing surface: cdn.publish is deliberately NOT
+// served here — the transport carries no authentication, so the write
+// surface must live on a separate server-plane listener (RegisterCDN)
+// that deployments keep away from clients; otherwise any client could
+// publish a round's mailboxes first and censor the real ones.
+func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
 	HandleFunc(s, "frontend.directory", func(struct{}) (any, error) {
 		return dir, nil
-	})
-	HandleFunc(s, "frontend.status", func(a settingsArgs) (any, error) {
-		return e.Status(a.Service), nil
 	})
 	HandleFunc(s, "entry.settings", func(a settingsArgs) (any, error) {
 		settings, err := e.Settings(a.Service, a.Round)
@@ -775,35 +661,6 @@ func registerFrontendCommon(s *Server, e *entry.Server, store MailboxSource, dir
 	HandleFunc(s, "cdn.fetch", func(a fetchArgs) (any, error) {
 		return store.Fetch(a.Service, a.Round, a.Mailbox)
 	})
-}
-
-// RegisterFrontend exposes the entry server, CDN fetch surface, and
-// deployment directory over RPC, including the EventStreamV2 push
-// surface: entry.events (a resumable long-poll over the entry server's
-// cursor-stamped announcement log, the same framing family as
-// mix.round.wait, with round settings riding inside open events) and
-// cdn.fetchrange (one request for a span of rounds).
-//
-// This is the CLIENT-facing surface: cdn.publish is deliberately NOT
-// served here — the transport carries no authentication, so the write
-// surface must live on a separate server-plane listener (RegisterCDN)
-// that deployments keep away from clients; otherwise any client could
-// publish a round's mailboxes first and censor the real ones.
-func RegisterFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	registerStreamFrontend(s, e, store, dir, EventStreamV2)
-}
-
-// RegisterFrontendV1 exposes the EventStreamV1 surface exactly as PR 4
-// shipped it: entry.events without settings in open events. It exists so
-// tests and the bench harness can stand in for a last-generation frontend
-// and prove that a V2 client degrades transparently to fetching settings.
-func RegisterFrontendV1(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	registerStreamFrontend(s, e, store, dir, EventStreamV1)
-}
-
-func registerStreamFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory, version int) {
-	dir.EventStreamVersion = version
-	registerFrontendCommon(s, e, store, dir)
 	HandleFunc(s, "entry.events", func(a eventsArgs) (any, error) {
 		wait := time.Duration(a.WaitMs) * time.Millisecond
 		if wait <= 0 || wait > maxEventsWait {
@@ -832,7 +689,7 @@ func registerStreamFrontend(s *Server, e *entry.Server, store MailboxSource, dir
 				Round:   ann.Round,
 				Kind:    int(ann.Kind),
 			}
-			if version >= EventStreamV2 && ann.Kind == entry.RoundOpen && ann.Settings != nil {
+			if ann.Kind == entry.RoundOpen && ann.Settings != nil {
 				ev.Settings = ann.Settings.Marshal()
 			}
 			reply.Events = append(reply.Events, ev)
@@ -869,8 +726,8 @@ func RegisterCoordinatorStatus(s *Server, source func() any) {
 
 // CoordinatorStatus fetches the frontend's coordinator.status snapshot
 // as raw JSON (the payload shape belongs to the coordinator, not the
-// transport). Frontends that predate the surface return an
-// unknown-method error.
+// transport). Pure frontends (-frontend-only) do not serve it and return
+// an unknown-method error.
 func (f *FrontendClient) CoordinatorStatus(ctx context.Context) (json.RawMessage, error) {
 	var raw json.RawMessage
 	if err := f.c.CallContext(ctx, "coordinator.status", struct{}{}, &raw); err != nil {
@@ -879,27 +736,16 @@ func (f *FrontendClient) CoordinatorStatus(ctx context.Context) (json.RawMessage
 	return raw, nil
 }
 
-// RegisterPollFrontend exposes only the pre-event-stream frontend surface
-// (frontend.status polling, per-round cdn.fetch, EventStreamNone). It
-// exists so tests and the bench harness can stand in for a frontend built
-// before entry.events and prove the transparent poll fallback.
-func RegisterPollFrontend(s *Server, e *entry.Server, store MailboxSource, dir Directory) {
-	dir.EventStreamVersion = EventStreamNone
-	registerFrontendCommon(s, e, store, dir)
-}
-
 // UnmarshalBLSKey decodes a BLS public key from a directory entry; it
 // exists so daemon binaries need not import internal/bls directly.
 func UnmarshalBLSKey(data []byte) (*bls.PublicKey, error) {
 	return bls.UnmarshalPublicKey(data)
 }
 
-// FrontendClient talks to the entry daemon; it satisfies core.EntryServer,
-// core.MailboxStore, core.StatusProvider, and core.RoundWatcher, so a
-// client built over it gets the push-based round loop when the frontend
-// serves EventStreamV1 and degrades transparently to status polling when
-// it does not (stale directory included: an "unknown method" reply is
-// treated the same as an advertised version 0).
+// FrontendClient talks to an entry frontend; it satisfies
+// core.EntryServer, core.MailboxStore, and core.RoundWatcher, so a client
+// built over it follows rounds through the frontend's entry.events push
+// stream and catches up on mailboxes with ranged fetches.
 type FrontendClient struct {
 	addr string
 	c    *Client
@@ -907,11 +753,9 @@ type FrontendClient struct {
 	// eventsc is a dedicated connection for the entry.events long-poll —
 	// a parked poll must never queue a submit or fetch behind it (same
 	// split as MixerClient's mix.round.wait connection).
-	mu                sync.Mutex
-	eventsc           *Client
-	dir               *Directory
-	eventsUnsupported bool
-	rangeUnsupported  bool
+	mu      sync.Mutex
+	eventsc *Client
+	dir     *Directory
 }
 
 // DialFrontend connects to the entry daemon.
@@ -948,8 +792,7 @@ func (f *FrontendClient) CallCount(method string) uint64 {
 	return n
 }
 
-// Directory fetches (and caches) the deployment directory; the cached
-// copy also fixes the frontend's advertised event-stream capability.
+// Directory fetches (and caches) the deployment directory.
 func (f *FrontendClient) Directory(ctx context.Context) (*Directory, error) {
 	f.mu.Lock()
 	if f.dir != nil {
@@ -964,38 +807,15 @@ func (f *FrontendClient) Directory(ctx context.Context) (*Directory, error) {
 	}
 	f.mu.Lock()
 	f.dir = &dir
-	if dir.EventStreamVersion < EventStreamV1 {
-		f.eventsUnsupported = true
-		f.rangeUnsupported = true
-	}
 	f.mu.Unlock()
 	return &dir, nil
 }
 
-// Status implements core.StatusProvider: round progress for a service.
-func (f *FrontendClient) Status(ctx context.Context, service wire.Service) (entry.RoundStatus, error) {
-	var st entry.RoundStatus
-	err := f.c.CallContext(ctx, "frontend.status", settingsArgs{Service: service}, &st)
-	return st, err
-}
-
-// isUnknownMethod reports a handler-missing reply — the capability probe
-// for frontends predating a method.
-func isUnknownMethod(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "rpc: unknown method")
-}
-
 // WatchRounds implements core.RoundWatcher over the entry.events
 // long-poll: it parks on the frontend (on a dedicated connection) until
-// announcements after cursor exist, and returns core.ErrEventsUnsupported
-// against a poll-only frontend so the client's round loop falls back to
-// Status polling.
+// announcements after cursor exist.
 func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {
 	f.mu.Lock()
-	if f.eventsUnsupported {
-		f.mu.Unlock()
-		return nil, cursor, core.ErrEventsUnsupported
-	}
 	if f.eventsc == nil {
 		f.eventsc = Dial(f.addr)
 	}
@@ -1008,12 +828,6 @@ func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entr
 			Cursor: cursor, WaitMs: int(eventsClientWait / time.Millisecond),
 		}, &reply)
 		if err != nil {
-			if isUnknownMethod(err) {
-				f.mu.Lock()
-				f.eventsUnsupported = true
-				f.mu.Unlock()
-				return nil, cursor, core.ErrEventsUnsupported
-			}
 			return nil, cursor, err
 		}
 		if len(reply.Events) == 0 {
@@ -1032,10 +846,10 @@ func (f *FrontendClient) WatchRounds(ctx context.Context, cursor uint64) ([]entr
 				Kind:    entry.EventKind(ev.Kind),
 			}
 			if len(ev.Settings) > 0 {
-				// V2 open events carry settings; a copy that fails to
-				// decode is dropped and the client falls back to fetching
-				// (the settings are verified either way, so a bad copy
-				// costs one RPC, never correctness).
+				// Open events carry settings; a copy that fails to decode
+				// is dropped and the client falls back to fetching (the
+				// settings are verified either way, so a bad copy costs
+				// one RPC, never correctness).
 				if rs, err := wire.UnmarshalRoundSettings(ev.Settings); err == nil {
 					anns[i].Settings = rs
 				}
@@ -1075,42 +889,23 @@ func (f *FrontendClient) Fetch(ctx context.Context, service wire.Service, round 
 }
 
 // FetchRange implements core.MailboxStore: one request for a span of
-// rounds via cdn.fetchrange, with a transparent per-round fallback
-// against frontends that predate it (rounds the store no longer holds are
-// simply absent, matching the ranged semantics).
+// rounds via cdn.fetchrange. Rounds the store no longer holds are absent.
 func (f *FrontendClient) FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
-	f.mu.Lock()
-	supported := !f.rangeUnsupported
-	f.mu.Unlock()
-	if supported {
-		var reply []rangedBox
-		err := f.c.CallContext(ctx, "cdn.fetchrange", fetchRangeArgs{
-			Service: service, FromRound: fromRound, ToRound: toRound, Mailbox: mailbox,
-		}, &reply)
-		if err == nil {
-			out := make(map[uint32][]byte, len(reply))
-			for _, box := range reply {
-				out[box.Round] = box.Data
-			}
-			return out, nil
-		}
-		if !isUnknownMethod(err) {
-			return nil, err
-		}
-		f.mu.Lock()
-		f.rangeUnsupported = true
-		f.mu.Unlock()
+	return fetchRange(ctx, f.c, service, fromRound, toRound, mailbox)
+}
+
+// fetchRange issues one cdn.fetchrange call and keys the reply by round;
+// FrontendClient and CDNClient share it.
+func fetchRange(ctx context.Context, c *Client, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
+	var reply []rangedBox
+	if err := c.CallContext(ctx, "cdn.fetchrange", fetchRangeArgs{
+		Service: service, FromRound: fromRound, ToRound: toRound, Mailbox: mailbox,
+	}, &reply); err != nil {
+		return nil, err
 	}
-	out := make(map[uint32][]byte)
-	for r := fromRound; r <= toRound; r++ {
-		box, err := f.Fetch(ctx, service, r, mailbox)
-		if err != nil {
-			if strings.Contains(err.Error(), "not published") {
-				continue // unavailable round: absent, like the ranged reply
-			}
-			return nil, err
-		}
-		out[r] = box
+	out := make(map[uint32][]byte, len(reply))
+	for _, box := range reply {
+		out[box.Round] = box.Data
 	}
 	return out, nil
 }

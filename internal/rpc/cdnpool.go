@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"alpenhorn/internal/wire"
@@ -16,9 +15,6 @@ import (
 type CDNClient struct {
 	addr string
 	c    *Client
-
-	mu               sync.Mutex
-	rangeUnsupported bool
 }
 
 // DialCDN connects to one CDN node's read surface.
@@ -36,43 +32,9 @@ func (f *CDNClient) Fetch(ctx context.Context, service wire.Service, round uint3
 }
 
 // FetchRange implements core.MailboxStore: one request for a span of
-// rounds, with the same transparent per-round fallback FrontendClient
-// uses against nodes that predate cdn.fetchrange.
+// rounds via cdn.fetchrange. Rounds the node does not hold are absent.
 func (f *CDNClient) FetchRange(ctx context.Context, service wire.Service, fromRound, toRound uint32, mailbox uint32) (map[uint32][]byte, error) {
-	f.mu.Lock()
-	supported := !f.rangeUnsupported
-	f.mu.Unlock()
-	if supported {
-		var reply []rangedBox
-		err := f.c.CallContext(ctx, "cdn.fetchrange", fetchRangeArgs{
-			Service: service, FromRound: fromRound, ToRound: toRound, Mailbox: mailbox,
-		}, &reply)
-		if err == nil {
-			out := make(map[uint32][]byte, len(reply))
-			for _, box := range reply {
-				out[box.Round] = box.Data
-			}
-			return out, nil
-		}
-		if !isUnknownMethod(err) {
-			return nil, err
-		}
-		f.mu.Lock()
-		f.rangeUnsupported = true
-		f.mu.Unlock()
-	}
-	out := make(map[uint32][]byte)
-	for r := fromRound; r <= toRound; r++ {
-		box, err := f.Fetch(ctx, service, r, mailbox)
-		if err != nil {
-			if strings.Contains(err.Error(), "not published") {
-				continue // unavailable round: absent, like the ranged reply
-			}
-			return nil, err
-		}
-		out[r] = box
-	}
-	return out, nil
+	return fetchRange(ctx, f.c, service, fromRound, toRound, mailbox)
 }
 
 // CallCount reports a method's call count on this node's connection.

@@ -304,12 +304,11 @@ func TestMergeRotationDeterminism(t *testing.T) {
 	}
 }
 
-// TestExportKeyPeerGate pins the shard-network gate on the round-key
-// export surface: once the coordinator distributes a peer allowlist with
-// the round's shard layout, mix.round.exportkey refuses callers from
-// outside it, and an updated allowlist (or none at all — the legacy
-// open behavior) restores service.
-func TestExportKeyPeerGate(t *testing.T) {
+// newPinnedShardDaemon serves shard 0 of a 2-shard position over TCP with
+// dialing round 1 open (mix.newround) but no layout yet, and returns its
+// address and coordinator-side client.
+func newPinnedShardDaemon(t *testing.T) (string, *rpc.MixerClient) {
+	t.Helper()
 	nz := noise.Laplace{Mu: 0, B: 0}
 	m, err := mixnet.New(mixnet.Config{
 		Name: "m", Position: 0, ChainLength: 1,
@@ -325,7 +324,7 @@ func TestExportKeyPeerGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	mc, err := rpc.DialMixer(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -333,30 +332,60 @@ func TestExportKeyPeerGate(t *testing.T) {
 	if _, err := mc.NewRound(wire.Dialing, 1); err != nil {
 		t.Fatal(err)
 	}
+	return addr, mc
+}
 
-	exportArgs := struct {
-		Service wire.Service `json:"service"`
-		Round   uint32       `json:"round"`
-	}{wire.Dialing, 1}
+// exportKeyArgs is mix.round.exportkey's request for dialing round 1.
+var exportKeyArgs = struct {
+	Service wire.Service `json:"service"`
+	Round   uint32       `json:"round"`
+}{wire.Dialing, 1}
+
+// TestExportKeyRefusedBeforeLayout closes the window between a pinned
+// shard's mix.newround and its mix.round.shard: until the coordinator has
+// installed the round's peer allowlist, nobody may pull the round's
+// private key, and a layout without a peer list is refused outright.
+func TestExportKeyRefusedBeforeLayout(t *testing.T) {
+	addr, mc := newPinnedShardDaemon(t)
+	defer mc.CloseRound(wire.Dialing, 1)
 	raw := rpc.Dial(addr)
 	defer raw.Close()
 
-	// No allowlist yet: the legacy open behavior — any caller may pull.
-	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err != nil {
-		t.Fatalf("ungated export: %v", err)
+	var reply struct {
+		Key []byte `json:"key"`
 	}
+	if err := raw.Call("mix.round.exportkey", exportKeyArgs, &reply); err == nil {
+		t.Fatalf("exportkey served a %d-byte round key before the shard layout", len(reply.Key))
+	}
+	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, nil); err == nil {
+		t.Fatal("shard layout without a peer list accepted")
+	}
+	if err := raw.Call("mix.round.exportkey", exportKeyArgs, &reply); err == nil {
+		t.Fatal("exportkey served the round key after a refused layout")
+	}
+}
+
+// TestExportKeyPeerGate pins the shard-network gate on the round-key
+// export surface: once the coordinator distributes a peer allowlist with
+// the round's shard layout, mix.round.exportkey refuses callers from
+// outside it, and an updated allowlist restores service.
+func TestExportKeyPeerGate(t *testing.T) {
+	addr, mc := newPinnedShardDaemon(t)
+	raw := rpc.Dial(addr)
+	defer raw.Close()
+
 	// An allowlist naming only a foreign host locks this caller out.
-	if err := mc.SetRoundShardPeers(wire.Dialing, 1, 0, 2, []string{"203.0.113.1:9000"}); err != nil {
+	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"203.0.113.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err == nil {
+	if err := raw.Call("mix.round.exportkey", exportKeyArgs, new(wire.MixerRoundKey)); err == nil {
 		t.Fatal("export from outside the shard network succeeded")
 	}
 	// Re-planning the round with the caller's host admitted restores it.
-	if err := mc.SetRoundShardPeers(wire.Dialing, 1, 0, 2, []string{"127.0.0.1:9000"}); err != nil {
+	if err := mc.SetRoundShard(wire.Dialing, 1, 0, 2, []string{"127.0.0.1:9000"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Call("mix.round.exportkey", exportArgs, new(wire.MixerRoundKey)); err != nil {
+	if err := raw.Call("mix.round.exportkey", exportKeyArgs, new(wire.MixerRoundKey)); err != nil {
 		t.Fatalf("export from inside the shard network refused: %v", err)
 	}
 	mc.CloseRound(wire.Dialing, 1)

@@ -249,9 +249,9 @@ func (r *EntryReplicaClient) OpenRound(settings *wire.RoundSettings) error {
 
 // AnnouncePublished replays a publish announcement (idempotent
 // server-side). Mirroring entry.Server's fire-and-forget signature, a
-// delivery failure is dropped: the frontend's poll fallback still reports
-// the round via frontend.status served from its own CDN view, and its
-// event-stream clients catch up at the next open.
+// delivery failure is dropped: the frontend's event-stream clients learn
+// of the round at the next publish announcement that reaches it, and
+// their scans fetch any round the CDN holds.
 func (r *EntryReplicaClient) AnnouncePublished(service wire.Service, round uint32) {
 	_ = r.c.Call("entry.replicate.published", roundArgs{Service: service, Round: round}, nil)
 }

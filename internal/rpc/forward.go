@@ -15,45 +15,45 @@ import (
 	"alpenhorn/internal/wire"
 )
 
-// This file is the daemon side of the mixnet data plane. A mixer daemon
-// serves two generations of it:
+// This file is the daemon side of the mixnet data plane. Every mixer
+// daemon serves one RPC surface (RegisterMixer), and the coordinator picks
+// how it drives it:
 //
-//   - Relay (StreamVersionRelay): the coordinator pushes chunks in and
-//     pulls the post-shuffle output back (mix.stream.pull), then pushes it
-//     to the next server itself. Bulk data crosses the coordinator once
-//     per chain hop.
+//   - Relayed: the coordinator pushes chunks in (mix.stream.*) and pulls
+//     the post-shuffle output back (mix.stream.pull), then pushes it to
+//     the next server itself. Bulk data crosses the coordinator once per
+//     chain hop.
 //
-//   - Chain-forward (StreamVersionForward): before the batch arrives, the
-//     coordinator opens a ROUTE on each daemon (mix.round.route) naming
-//     its successor — the next mixer's RPC address, or the CDN's publish
-//     address for the last server. After StreamEnd the daemon pushes its
-//     outbox to the successor's mix.stream.chunk itself (dialing with
-//     retry/backoff), and the last server builds the round's mailboxes
-//     and ships them straight to the CDN via cdn.publish. The coordinator
-//     only moves control messages; it learns each server's outcome from
-//     the mix.round.wait long-poll, and failures propagate as
-//     mix.round.abort both down the chain and back to the waiting
-//     coordinator.
+//   - Chain-forward: before the batch arrives, the coordinator opens a
+//     ROUTE on each daemon (mix.round.route) naming its successors — the
+//     next position's shard set, or the CDN's publish address for the last
+//     position. After StreamEnd the daemon pushes its outbox to the
+//     successors' mix.stream.chunk itself (dialing with retry/backoff),
+//     and the last position builds the round's mailboxes and ships them
+//     straight to the CDN via cdn.publish. The coordinator only moves
+//     control messages; it learns each server's outcome from the
+//     mix.round.wait long-poll, and failures propagate as mix.round.abort
+//     both down the chain and back to the waiting coordinator.
 //
-//   - Shard groups (StreamVersionShard): one chain position may be served
-//     by N daemons. The route then also carries the daemon's shard index,
-//     the group size, the group's merge address, and the FULL successor
-//     shard set. Each shard peels its slice of the position's batch and
-//     generates its divided noise share; shards stream their peeled
-//     slices to the group's merge server (mix.merge.begin/chunk/end),
-//     and the deposit that completes the set — the last-arriving shard —
-//     triggers the position's single key-derived shuffle over the
-//     concatenated batch (mixnet.MergeShuffle). The merge server then DEALS its
-//     post-shuffle chunks round-robin across the successor position's
-//     shard set (or builds and publishes the mailboxes at the end of the
-//     chain). Fan-in is counted: an intake only closes once an
-//     end-of-stream has arrived from every expected upstream (the route's
-//     NumUpstream for onion intake, the group size for merge deposits).
-//     A shard set of size one takes none of these branches — it runs the
-//     exact chain-forward path above.
-//
-// Relay remains fully served so a newer coordinator can drive a mixed
-// fleet during a rolling upgrade.
+// On the chain-forward plane one chain position may be served by a SHARD
+// GROUP of N daemons. Each member learns its place in the group, and the
+// group's allowed peers, from mix.round.shard before it generates noise;
+// only those peers may pull the round's private key (mix.round.exportkey)
+// to share it. The route then also carries the daemon's shard index, the
+// group size, the group's merge address, and the FULL successor shard
+// set. Each shard peels its slice of the position's batch and generates
+// its divided noise share; shards stream their peeled slices to the
+// group's merge server (mix.merge.begin/chunk/end), and the deposit that
+// completes the set — the last-arriving shard — triggers the position's
+// single key-derived shuffle over the concatenated batch
+// (mixnet.MergeShuffle). The merge server then DEALS its post-shuffle
+// chunks round-robin across the successor position's shard set. At the
+// end of the chain it deals the payloads by mailbox ID across its own
+// group instead (mix.deal.*), and every shard builds and publishes its
+// own ID range. Fan-in is counted: an intake only closes once an
+// end-of-stream has arrived from every expected upstream (the route's
+// NumUpstream for onion intake, the group size for merge deposits). A
+// shard set of size one takes none of these branches.
 
 type outKey struct {
 	service wire.Service
@@ -162,33 +162,29 @@ func hostOf(addr string) string {
 	return addr
 }
 
-// waitPollInterval bounds how long one mix.round.wait call parks in the
+// waitParkInterval bounds how long one mix.round.wait call parks in the
 // daemon before replying "not done yet"; the client re-polls. Bounding the
 // park keeps Server.Close from waiting on a handler that would otherwise
 // block until a round that will never finish.
-const waitPollInterval = 500 * time.Millisecond
+const waitParkInterval = 500 * time.Millisecond
 
 type routeArgs struct {
 	Service      wire.Service `json:"service"`
 	Round        uint32       `json:"round"`
 	NumMailboxes uint32       `json:"num_mailboxes"`
 	ChunkSize    int          `json:"chunk_size"`
-	Successor    string       `json:"successor,omitempty"`
 	CDNAddr      string       `json:"cdn_addr,omitempty"`
-	// Shard-group routing (StreamVersionShard). Successors names the
-	// NEXT position's full shard set (supersedes Successor when set);
-	// MergeAddr is the group's merge server for a non-merge shard;
-	// NumUpstream is how many upstream end-of-streams close the onion
-	// intake (0 = 1).
+	// Successors names the NEXT position's full shard set; MergeAddr is
+	// the group's merge server for a non-merge shard; NumUpstream is how
+	// many upstream end-of-streams close the onion intake (0 = 1).
 	ShardIndex  int      `json:"shard_index,omitempty"`
 	ShardCount  int      `json:"shard_count,omitempty"`
 	MergeAddr   string   `json:"merge_addr,omitempty"`
 	Successors  []string `json:"successors,omitempty"`
 	NumUpstream int      `json:"num_upstream,omitempty"`
-	// BuildShards (StreamVersionCDNShard) marks the last position's merge
-	// server for sharded mailbox building: the full shard group's
-	// addresses, in shard order. Non-merge shards of such a group carry
-	// CDNAddr but no BuildShards.
+	// BuildShards marks the last position's merge server for sharded
+	// mailbox building: the full shard group's addresses, in shard order.
+	// Non-merge shards of such a group carry CDNAddr but no BuildShards.
 	BuildShards []string `json:"build_shards,omitempty"`
 	// DeadlineMs bounds the daemon's data-plane dial retries for the
 	// round, in milliseconds from route receipt; 0 means no deadline.
@@ -219,9 +215,9 @@ type shardArgs struct {
 	ShardIndex int          `json:"shard_index"`
 	ShardCount int          `json:"shard_count"`
 	// Peers is the round's allowed shard network: the addresses of every
-	// group member (announcer, members, drafted spares). When set, the
+	// group member (announcer, members, drafted spares). Required: the
 	// daemon serves mix.round.exportkey for this round only to callers
-	// whose host appears in it. Empty = legacy coordinator, no gate.
+	// whose host appears in it, and to nobody before it arrives.
 	Peers []string `json:"peers,omitempty"`
 }
 
@@ -727,9 +723,8 @@ func (d *MixerDaemon) pushDeposit(k outKey, rt *route, out [][]byte) error {
 	return nil
 }
 
-// RegisterMixer exposes a mixnet.Server over RPC: the legacy full-batch
-// surface, the relay streaming surface, and the chain-forward data plane
-// described at the top of this file.
+// RegisterMixer exposes a mixnet.Server over RPC: the streaming surface
+// and the chain-forward data plane described at the top of this file.
 func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	d := &MixerDaemon{
 		m:        m,
@@ -742,16 +737,14 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 	HandleFunc(s, "mix.info", func(struct{}) (any, error) {
 		shardIndex, shardCount := m.ShardIdentity()
 		return MixerInfo{
-			Name:          m.Name,
-			Position:      m.Position,
-			SigningKey:    m.SigningKey(),
-			AddFriendMu:   m.AddFriendNoise.Mu,
-			DialingMu:     m.DialingNoise.Mu,
-			Streaming:     true,
-			StreamVersion: StreamVersionCDNShard,
-			ShardIndex:    shardIndex,
-			ShardCount:    shardCount,
-			Spare:         m.Spare(),
+			Name:        m.Name,
+			Position:    m.Position,
+			SigningKey:  m.SigningKey(),
+			AddFriendMu: m.AddFriendNoise.Mu,
+			DialingMu:   m.DialingNoise.Mu,
+			ShardIndex:  shardIndex,
+			ShardCount:  shardCount,
+			Spare:       m.Spare(),
 		}, nil
 	})
 	HandleFunc(s, "mix.newround", func(a roundArgs) (any, error) {
@@ -764,41 +757,33 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		return nil, m.PrepareNoise(a.Service, a.Round, a.NumMailboxes)
 	})
 	HandleFunc(s, "mix.round.shard", func(a shardArgs) (any, error) {
+		if len(a.Peers) == 0 {
+			return nil, fmt.Errorf("rpc: round %d (%s): shard layout without a peer list", a.Round, a.Service)
+		}
 		if err := m.SetRoundShard(a.Service, a.Round, a.ShardIndex, a.ShardCount); err != nil {
 			return nil, err
 		}
-		if len(a.Peers) > 0 {
-			// Install the round's shard-network allowlist so exportkey
-			// is gated BEFORE any group member pulls the key.
-			d.mu.Lock()
-			d.keyPeers[outKey{a.Service, a.Round}] = a.Peers
-			d.mu.Unlock()
-		}
+		// Install the round's shard-network allowlist so exportkey is
+		// gated BEFORE any group member pulls the key.
+		d.mu.Lock()
+		d.keyPeers[outKey{a.Service, a.Round}] = a.Peers
+		d.mu.Unlock()
 		return nil, nil
 	})
 	HandlePeerFunc(s, "mix.round.exportkey", func(peerAddr string, a roundArgs) (any, error) {
 		// Serves the round onion private key to the OTHER shards of this
 		// position (one logical server split across machines). Like
-		// cdn.publish, this surface must stay off the client plane — and
-		// when the coordinator distributed the round's shard network
-		// (shardArgs.Peers), the caller's host must be in it: topology is
-		// verified here instead of merely trusted.
+		// cdn.publish, this surface must stay off the client plane, and
+		// the caller's host must be in the round's shard network
+		// (shardArgs.Peers): topology is verified here instead of merely
+		// trusted. Until the layout arrives nobody may pull the key.
 		k := outKey{a.Service, a.Round}
 		d.mu.Lock()
 		allowed := d.keyPeers[k]
 		d.mu.Unlock()
-		if len(allowed) > 0 {
-			caller := hostOf(peerAddr)
-			ok := false
-			for _, p := range allowed {
-				if hostOf(p) == caller {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
-			}
+		caller := hostOf(peerAddr)
+		if !slices.ContainsFunc(allowed, func(p string) bool { return hostOf(p) == caller }) {
+			return nil, fmt.Errorf("rpc: round %d (%s): caller %s is outside the round's shard network", a.Round, a.Service, caller)
 		}
 		key, err := m.ExportRoundKey(a.Service, a.Round)
 		if err != nil {
@@ -818,17 +803,11 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		}
 		return nil, m.ImportRoundKey(a.Service, a.Round, reply.Key)
 	})
-	HandleFunc(s, "mix.mix", func(a mixArgs) (any, error) {
-		return m.Mix(a.Service, a.Round, a.NumMailboxes, a.Batch)
-	})
 	HandleFunc(s, "mix.round.route", func(a routeArgs) (any, error) {
 		if !m.RoundOpen(a.Service, a.Round) {
 			return nil, fmt.Errorf("rpc: round %d (%s) not open", a.Round, a.Service)
 		}
 		successors := a.Successors
-		if len(successors) == 0 && a.Successor != "" {
-			successors = []string{a.Successor}
-		}
 		shardCount := a.ShardCount
 		if shardCount <= 0 {
 			shardCount = 1
@@ -1026,7 +1005,7 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 			}
 			d.mu.Unlock()
 			return reply, nil
-		case <-time.After(waitPollInterval):
+		case <-time.After(waitParkInterval):
 			return waitReply{}, nil
 		}
 	})
@@ -1160,33 +1139,4 @@ func RegisterMixer(s *Server, m *mixnet.Server) *MixerDaemon {
 		return nil, nil
 	})
 	return d
-}
-
-// RegisterLegacyMixer exposes only the pre-streaming surface of a mixer
-// (full-batch mix.mix, StreamVersionNone). It exists so tests and the
-// bench harness can stand in for a daemon built before the streaming
-// RPCs and prove the rolling-upgrade fallback paths.
-func RegisterLegacyMixer(s *Server, m *mixnet.Server) {
-	HandleFunc(s, "mix.info", func(struct{}) (any, error) {
-		return MixerInfo{
-			Name:        m.Name,
-			Position:    m.Position,
-			SigningKey:  m.SigningKey(),
-			AddFriendMu: m.AddFriendNoise.Mu,
-			DialingMu:   m.DialingNoise.Mu,
-		}, nil
-	})
-	HandleFunc(s, "mix.newround", func(a roundArgs) (any, error) {
-		return m.NewRound(a.Service, a.Round)
-	})
-	HandleFunc(s, "mix.setdownstream", func(a downstreamArgs) (any, error) {
-		return nil, m.SetDownstreamKeys(a.Service, a.Round, a.Keys)
-	})
-	HandleFunc(s, "mix.mix", func(a mixArgs) (any, error) {
-		return m.Mix(a.Service, a.Round, a.NumMailboxes, a.Batch)
-	})
-	HandleFunc(s, "mix.closeround", func(a roundArgs) (any, error) {
-		m.CloseRound(a.Service, a.Round)
-		return nil, nil
-	})
 }

@@ -211,12 +211,9 @@ func TestChainForwardOverTCP(t *testing.T) {
 	}
 	assertTokensDelivered(t, store, 1, settings, tokens)
 
-	// The coordinator moved control messages only: no full-batch Mix, no
-	// output pulls, and no batch chunks to anyone but the first mixer.
+	// The coordinator moved control messages only: no output pulls, and
+	// no batch chunks to anyone but the first mixer.
 	for i, mc := range f.clients {
-		if n := mc.CallCount("mix.mix"); n != 0 {
-			t.Errorf("mixer %d: %d mix.mix calls on the happy path", i, n)
-		}
 		if n := mc.CallCount("mix.stream.pull"); n != 0 {
 			t.Errorf("mixer %d: %d mix.stream.pull calls on the happy path", i, n)
 		}
@@ -337,11 +334,11 @@ func TestChainForwardAbortMidChain(t *testing.T) {
 	assertTokensDelivered(t, store, 2, settings2, tokens2)
 }
 
-// TestDataPlaneModesByteIdentical runs the same seeded round through all
-// three data planes — Sequential full-batch, coordinator-relayed
-// pipeline, and chain-forwarded over TCP — and checks the published
-// mailboxes are byte-identical: moving the data plane onto the servers
-// changes WHERE bytes travel, never what comes out.
+// TestDataPlaneModesByteIdentical runs the same seeded round three ways —
+// mixnet.Chain's full-batch reference over in-process servers, the
+// coordinator-relayed pipeline, and chain-forwarded over TCP — and checks
+// the published mailboxes are byte-identical: moving the data plane onto
+// the servers changes WHERE bytes travel, never what comes out.
 func TestDataPlaneModesByteIdentical(t *testing.T) {
 	nz := noise.Laplace{Mu: 2, B: 0}
 	const numTokens = 90
@@ -353,18 +350,17 @@ func TestDataPlaneModesByteIdentical(t *testing.T) {
 	}
 	runMode := func(mode string) result {
 		var coord *coordinator.Coordinator
+		var servers []*mixnet.Server
 		var store *cdn.Store
 		e := entry.New()
-		switch mode {
-		case "forward":
+		if mode == "forward" {
 			f := startFleet(t, 3, nz, func(pos int) mathrand.Source {
 				return mathrand.NewSource(int64(1000 + pos))
 			})
 			var cdnAddr string
 			store, cdnAddr = startCDN(t)
 			coord = forwardCoordinator(f, e, store, cdnAddr)
-		default:
-			var servers []*mixnet.Server
+		} else {
 			for i := 0; i < 3; i++ {
 				m, err := mixnet.New(mixnet.Config{
 					Name: "m", Position: i, ChainLength: 3,
@@ -379,7 +375,6 @@ func TestDataPlaneModesByteIdentical(t *testing.T) {
 			}
 			store = cdn.NewStore(0)
 			coord = coordinator.New(e, servers, nil, store)
-			coord.Sequential = mode == "sequential"
 		}
 		coord.TargetRequestsPerMailbox = 40
 		coord.ChunkSize = 16
@@ -390,6 +385,19 @@ func TestDataPlaneModesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		submitTokens(t, e, settings, tokens, mathrand.New(mathrand.NewSource(4242)))
+		if mode == "chain" {
+			// The reference: the entry batch through every server's
+			// full-batch Mix in turn, no pipeline, no coordinator.
+			batch, err := e.CloseRound(wire.Dialing, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boxes, err := mixnet.Chain(servers, wire.Dialing, 1, settings.NumMailboxes, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return result{settings: settings, mailboxes: boxes}
+		}
 		if _, err := coord.CloseRound(wire.Dialing, 1); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -404,116 +412,67 @@ func TestDataPlaneModesByteIdentical(t *testing.T) {
 		return result{settings: settings, mailboxes: boxes}
 	}
 
-	base := runMode("sequential")
+	base := runMode("chain")
 	if base.settings.NumMailboxes < 2 {
 		t.Fatalf("want a multi-mailbox round, got K=%d", base.settings.NumMailboxes)
 	}
 	for _, mode := range []string{"relay", "forward"} {
 		got := runMode(mode)
 		if got.settings.NumMailboxes != base.settings.NumMailboxes {
-			t.Fatalf("%s: K=%d, sequential K=%d", mode, got.settings.NumMailboxes, base.settings.NumMailboxes)
+			t.Fatalf("%s: K=%d, full-batch chain K=%d", mode, got.settings.NumMailboxes, base.settings.NumMailboxes)
 		}
 		for mb := uint32(0); mb < base.settings.NumMailboxes; mb++ {
 			if !bytes.Equal(base.mailboxes[mb], got.mailboxes[mb]) {
-				t.Errorf("%s: mailbox %d differs from sequential", mode, mb)
+				t.Errorf("%s: mailbox %d differs from the full-batch chain", mode, mb)
 			}
 		}
 	}
 }
 
-// TestLegacyDaemonFallsBackOverTCP: with one pre-streaming daemon in the
-// chain, a chain-forward coordinator must degrade the whole round to the
-// relayed data plane and drive the legacy daemon through full-batch
-// mix.mix — the rolling-upgrade guarantee, over real TCP.
-func TestLegacyDaemonFallsBackOverTCP(t *testing.T) {
+// TestChainForwardRefusesIncapableFleetOverTCP: a chain-forward
+// coordinator whose chain includes a mixer that cannot forward (an
+// in-process server) must refuse to open the round with
+// ErrChainForwardUnavailable instead of quietly relaying it, and so must
+// one with no CDN publish address. Neither the entry server nor any
+// daemon may see the round.
+func TestChainForwardRefusesIncapableFleetOverTCP(t *testing.T) {
 	nz := noise.Laplace{Mu: 1, B: 0}
-	// Daemon 0: legacy (no streaming surface at all).
-	legacy, err := mixnet.New(mixnet.Config{
-		Name: "old", Position: 0, ChainLength: 2,
+	f := startFleet(t, 2, nz, nil)
+	local, err := mixnet.New(mixnet.Config{
+		Name: "local", Position: 0, ChainLength: 2,
 		AddFriendNoise: &nz, DialingNoise: &nz,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySrv := rpc.NewServer()
-	rpc.RegisterLegacyMixer(legacySrv, legacy)
-	legacyAddr, err := legacySrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacySrv.Close()
-	legacyClient, err := rpc.DialMixer(legacyAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyClient.SupportsStreaming() || legacyClient.SupportsForwarding() {
-		t.Fatal("legacy daemon advertises streaming capabilities")
-	}
-
-	// Daemon 1: current build.
-	current, err := mixnet.New(mixnet.Config{
-		Name: "new", Position: 1, ChainLength: 2,
-		AddFriendNoise: &nz, DialingNoise: &nz,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	currentSrv := rpc.NewServer()
-	rpc.RegisterMixer(currentSrv, current)
-	currentAddr, err := currentSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer currentSrv.Close()
-	currentClient, err := rpc.DialMixer(currentAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !currentClient.SupportsForwarding() {
-		t.Fatal("current daemon does not advertise forwarding")
-	}
-
 	store, cdnAddr := startCDN(t)
-	e := entry.New()
-	coord := &coordinator.Coordinator{
-		Entry: e, CDN: store,
-		TargetRequestsPerMailbox: 40,
-		ChainForward:             true, // requested, but the fleet can't
-		CDNAddr:                  cdnAddr,
-		Mixers:                   []coordinator.Mixer{legacyClient, currentClient},
-	}
-	coord.SetExpectedVolume(wire.Dialing, 60)
-
-	settings, err := coord.OpenDialingRound(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokens := makeTestTokens(60)
-	submitTokens(t, e, settings, tokens, nil)
-	mailboxes, err := coord.CloseRound(wire.Dialing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mailboxes == nil {
-		t.Fatal("relayed fallback should return mailboxes through the coordinator")
-	}
-	assertTokensDelivered(t, store, 1, settings, tokens)
-
-	// The legacy daemon was driven through full-batch Mix only.
-	if n := legacyClient.CallCount("mix.mix"); n != 1 {
-		t.Errorf("legacy daemon: %d mix.mix calls, want 1", n)
-	}
-	for _, method := range []string{"mix.stream.begin", "mix.stream.chunk", "mix.preparenoise", "mix.round.route"} {
-		if n := legacyClient.CallCount(method); n != 0 {
-			t.Errorf("legacy daemon: %d %s calls, want 0", n, method)
+	for _, tc := range []struct {
+		name    string
+		mixers  []coordinator.Mixer
+		cdnAddr string
+	}{
+		{"in-process mixer in the chain", []coordinator.Mixer{local, f.clients[1]}, cdnAddr},
+		{"no CDN address", []coordinator.Mixer{f.clients[0], f.clients[1]}, ""},
+	} {
+		e := entry.New()
+		coord := &coordinator.Coordinator{
+			Entry: e, CDN: store,
+			TargetRequestsPerMailbox: 40,
+			ChainForward:             true,
+			CDNAddr:                  tc.cdnAddr,
+			Mixers:                   tc.mixers,
+		}
+		if _, err := coord.OpenDialingRound(1); !errors.Is(err, coordinator.ErrChainForwardUnavailable) {
+			t.Fatalf("%s: OpenDialingRound err = %v, want ErrChainForwardUnavailable", tc.name, err)
+		}
+		if e.Status(wire.Dialing).CurrentOpen != 0 {
+			t.Fatalf("%s: the refused round was announced", tc.name)
 		}
 	}
-	// And the current daemon fell back to relay: no route was opened.
-	if n := currentClient.CallCount("mix.round.route"); n != 0 {
-		t.Errorf("current daemon: %d mix.round.route calls in a degraded round, want 0", n)
-	}
-	if n := currentClient.CallCount("mix.stream.begin"); n == 0 {
-		t.Error("current daemon was not streamed to in the relayed fallback")
+	for i, mc := range f.clients {
+		if n := mc.CallCount("mix.newround"); n != 0 {
+			t.Errorf("daemon %d: %d mix.newround calls for refused rounds", i, n)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 
-	"alpenhorn/internal/core"
 	"alpenhorn/internal/entry"
 	"alpenhorn/internal/wire"
 )
@@ -91,41 +90,17 @@ func (p *FrontendPool) Directory(ctx context.Context) (*Directory, error) {
 	}
 }
 
-// Status implements core.StatusProvider with failover.
-func (p *FrontendPool) Status(ctx context.Context, service wire.Service) (entry.RoundStatus, error) {
-	for attempt := 0; ; attempt++ {
-		f, idx := p.current()
-		st, err := f.Status(ctx, service)
-		if rotateOn(ctx, err) {
-			p.reportDown(idx)
-			if attempt == 0 && len(p.clients) > 1 {
-				continue
-			}
-		}
-		return st, err
-	}
-}
-
 // WatchRounds implements core.RoundWatcher. A transport failure rotates
 // the pool and surfaces the error: core's round feed already owns the
 // reconnect loop (backoff, cursor preservation), so the next park lands
 // on the survivor and resumes from the replicated log at the same cursor.
-// ErrEventsUnsupported only degrades the pool when EVERY member lacks the
-// surface — a mixed fleet keeps streaming by rotating to a capable member.
 func (p *FrontendPool) WatchRounds(ctx context.Context, cursor uint64) ([]entry.Announcement, uint64, error) {
-	for attempt := 0; ; attempt++ {
-		f, idx := p.current()
-		anns, next, err := f.WatchRounds(ctx, cursor)
-		if rotateOn(ctx, err) {
-			p.reportDown(idx)
-			return anns, next, err
-		}
-		if errors.Is(err, core.ErrEventsUnsupported) && attempt < len(p.clients)-1 {
-			p.reportDown(idx)
-			continue
-		}
-		return anns, next, err
+	f, idx := p.current()
+	anns, next, err := f.WatchRounds(ctx, cursor)
+	if rotateOn(ctx, err) {
+		p.reportDown(idx)
 	}
+	return anns, next, err
 }
 
 // Settings implements core.EntryServer with failover: settings are

@@ -182,10 +182,9 @@ func newTwoFrontendNetwork(t *testing.T) (*sim.Network, []*rpc.Server, []string)
 
 // TestRunFailsOverToSurvivingFrontend kills one of two frontends mid-round
 // under Client.Run over TCP: the client resumes on the survivor FROM ITS
-// CURSOR (the frontends share one announcement log, so no status-snapshot
-// rebuild and no poll fallback), never double-submits a round, never falls
-// back to per-round settings fetches, and drains its goroutines on
-// shutdown.
+// CURSOR (the frontends share one announcement log), never double-submits
+// a round, never falls back to per-round settings fetches, and drains its
+// goroutines on shutdown.
 func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	network, srvs, addrs := newTwoFrontendNetwork(t)
 	defer srvs[1].Close()
@@ -196,7 +195,6 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	cfg := network.ClientConfig("failover@tcp.example", h)
 	cfg.Entry = pool
 	cfg.Mailboxes = pool
-	cfg.PollInterval = 50 * time.Millisecond
 	client, err := core.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,15 +254,7 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 		return client.DialRound() >= 7 && client.DialBacklog() == 0
 	})
 
-	// No snapshot reset: tracking stayed on the event stream the whole
-	// time. A cursor mismatch between the logs would have shown up as a
-	// gap -> status rebuild -> poll traffic; the status budget is the
-	// connect-time snapshot plus at most a couple of failover re-syncs.
-	if n := pool.CallCount("frontend.status"); n > 6 {
-		t.Fatalf("client issued %d frontend.status calls — failover fell back to polling (snapshot reset)", n)
-	}
-	// Settings rode the open events (EventStreamV2) on both frontends:
-	// failing over does not resurrect the per-round settings fetch.
+	// Settings rode the open events on both frontends: failing over does not resurrect the per-round settings fetch.
 	if n := pool.CallCount("entry.settings"); n != 0 {
 		t.Fatalf("client issued %d entry.settings fetches, want 0 (settings ride open events)", n)
 	}
@@ -286,63 +276,41 @@ func TestRunFailsOverToSurvivingFrontend(t *testing.T) {
 	})
 }
 
-// TestEventSettingsEliminateFetch pins EventStreamV2's request savings: a
-// client on a V2 frontend completes rounds with ZERO entry.settings
-// fetches (settings ride the open events), while the same client code on a
-// V1 frontend degrades transparently — it fetches settings per round and
-// still completes every round.
+// TestEventSettingsEliminateFetch pins the event stream's request
+// savings: a client following rounds through a frontend completes them
+// with ZERO entry.settings fetches, because the settings ride the open
+// events.
 func TestEventSettingsEliminateFetch(t *testing.T) {
 	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Srv := rpc.NewServer()
-	rpc.RegisterFrontend(v2Srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	v2Addr, err := v2Srv.Listen("127.0.0.1:0")
+	srv := rpc.NewServer()
+	rpc.RegisterFrontend(srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2Srv.Close()
-	v1Srv := rpc.NewServer()
-	rpc.RegisterFrontendV1(v1Srv, network.Entry, network.CDN, rpc.Directory{NumMixers: 1})
-	v1Addr, err := v1Srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1Srv.Close()
+	defer srv.Close()
 
-	v2FE := rpc.DialFrontend(v2Addr)
-	v1FE := rpc.DialFrontend(v1Addr)
-	defer v2FE.Close()
-	defer v1FE.Close()
-	v2Client, _ := newTCPRunClient(t, network, v2FE, "v2@tcp.example")
-	v1Client, _ := newTCPRunClient(t, network, v1FE, "v1@tcp.example")
+	fe := rpc.DialFrontend(addr)
+	defer fe.Close()
+	client, _ := newTCPRunClient(t, network, fe, "events@tcp.example")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	h2, err := v2Client.ConnectDialing(ctx)
+	handle, err := client.ConnectDialing(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.Close()
-	h1, err := v1Client.ConnectDialing(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h1.Close()
+	defer handle.Close()
 
 	const rounds = 3
-	driveDialRounds(t, network, 1, rounds, 2, 10*time.Second)
-	waitUntil(t, 15*time.Second, "both clients to scan all rounds", func() bool {
-		return v2Client.DialRound() >= rounds+1 && v1Client.DialRound() >= rounds+1
+	driveDialRounds(t, network, 1, rounds, 1, 10*time.Second)
+	waitUntil(t, 15*time.Second, "the client to scan all rounds", func() bool {
+		return client.DialRound() >= rounds+1
 	})
-
-	if n := v2FE.CallCount("entry.settings"); n != 0 {
-		t.Fatalf("V2 client fetched settings %d times, want 0 (settings ride open events)", n)
+	if n := fe.CallCount("entry.settings"); n != 0 {
+		t.Fatalf("client fetched settings %d times, want 0 (settings ride open events)", n)
 	}
-	if n := v1FE.CallCount("entry.settings"); n == 0 {
-		t.Fatal("V1 client never fetched settings — the degradation path went untested")
-	}
-	t.Logf("entry.settings calls over %d rounds: V2=%d V1=%d",
-		rounds, v2FE.CallCount("entry.settings"), v1FE.CallCount("entry.settings"))
 }

@@ -276,9 +276,9 @@ func TestMixerStreamingOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The client must satisfy the coordinator's streaming interfaces.
-	var _ coordinator.StreamMixer = client
-	var _ coordinator.NoisePreparer = client
+	// The client must satisfy the coordinator's mixer interfaces.
+	var _ coordinator.Mixer = client
+	var _ coordinator.ForwardMixer = client
 
 	rk, err := client.NewRound(wire.Dialing, 1)
 	if err != nil {
@@ -342,11 +342,6 @@ func TestMixerStreamingOverTCP(t *testing.T) {
 	// Stream errors cross the wire too.
 	if _, err := client.StreamEnd(wire.Dialing, 1); err == nil {
 		t.Fatal("StreamEnd without a stream succeeded over RPC")
-	}
-
-	// The daemon advertises the streaming surface to the coordinator.
-	if !client.SupportsStreaming() {
-		t.Fatal("new daemon does not advertise streaming")
 	}
 
 	// Output retrieval is chunked: drive mix.stream.pull directly with a

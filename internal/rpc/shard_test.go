@@ -170,9 +170,6 @@ func TestShardedRoundOverTCP(t *testing.T) {
 	const controlBudget = 32 << 10
 	for i, group := range f.clients {
 		for s, mc := range group {
-			if n := mc.CallCount("mix.mix"); n != 0 {
-				t.Errorf("mixer %d/%d: %d mix.mix calls", i, s, n)
-			}
 			if n := mc.CallCount("mix.stream.pull"); n != 0 {
 				t.Errorf("mixer %d/%d: %d mix.stream.pull calls", i, s, n)
 			}
