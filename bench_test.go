@@ -199,10 +199,10 @@ func measureIBEDecrypt(b *testing.B) float64 {
 		b.Fatal(err)
 	}
 	// Scan configuration (see model.CostCalibration.IBEDecryptSeconds):
-	// clients trial-decrypt mailboxes through DecryptBatch with a key whose
-	// Miller ladder is precomputed once, so the calibration wants the
-	// marginal per-ciphertext cost of the batched pipeline.
-	key := ibe.Extract(priv, "bob@example.org").Precompute()
+	// clients trial-decrypt mailboxes through the v2 tier's DecryptBatchV2
+	// with the key precomputed once, so the calibration wants the marginal
+	// per-ciphertext cost of the batched pipeline.
+	key := ibe.Extract(priv, "bob@example.org").PrecomputeV2()
 	const batch = 16
 	ctxts := make([][]byte, batch)
 	for i := 1; i < batch; i++ {
@@ -212,15 +212,15 @@ func measureIBEDecrypt(b *testing.B) float64 {
 		}
 		ctxts[i] = c
 	}
-	ctxts[0], err = ibe.Encrypt(rand.Reader, pub, "bob@example.org", make([]byte, wire.FriendRequestSize))
+	ctxts[0], err = ibe.EncryptV2(rand.Reader, pub, "bob@example.org", make([]byte, wire.FriendRequestSize))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ibe.DecryptBatch(key, ctxts) // warm the scratch pool
+	ibe.DecryptBatchV2(key, ctxts) // warm the scratch pool
 	start := testingNow()
 	const reps = 3
 	for i := 0; i < reps; i++ {
-		if _, oks := ibe.DecryptBatch(key, ctxts); !oks[0] {
+		if _, oks := ibe.DecryptBatchV2(key, ctxts); !oks[0] {
 			b.Fatal("decrypt failed")
 		}
 	}

@@ -735,15 +735,16 @@ func fanoutLoad() {
 }
 
 // measureIBEDecrypt returns seconds per trial decryption with our pairing,
-// on the scan configuration clients actually run — DecryptBatch over a
-// mailbox chunk with a precomputed key ladder and shared batch inversions
-// — the shape the IBEDecryptSeconds calibration extrapolates.
+// on the scan configuration clients actually run — the v2 (optimal-ate)
+// tier's DecryptBatchV2 over a mailbox chunk with the key's evaluation
+// coordinates precomputed and shared batch inversions — the shape the
+// IBEDecryptSeconds calibration extrapolates.
 func measureIBEDecrypt() float64 {
 	pub, priv, err := ibe.Setup(rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
-	key := ibe.Extract(priv, "bob@example.org").Precompute()
+	key := ibe.Extract(priv, "bob@example.org").PrecomputeV2()
 	const batch = 16
 	ctxts := make([][]byte, batch)
 	for i := 1; i < batch; i++ {
@@ -753,15 +754,17 @@ func measureIBEDecrypt() float64 {
 		}
 		ctxts[i] = c
 	}
-	ctxts[0], err = ibe.Encrypt(rand.Reader, pub, "bob@example.org", make([]byte, wire.FriendRequestSize))
+	ctxts[0], err = ibe.EncryptV2(rand.Reader, pub, "bob@example.org", make([]byte, wire.FriendRequestSize))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ibe.DecryptBatch(key, ctxts) // warm the scratch pool
+	if _, oks := ibe.DecryptBatchV2(key, ctxts); !oks[0] { // also warms the scratch pool
+		log.Fatal("v2 decrypt failed")
+	}
 	start := time.Now()
 	const reps = 10
 	for i := 0; i < reps; i++ {
-		ibe.DecryptBatch(key, ctxts)
+		ibe.DecryptBatchV2(key, ctxts)
 	}
 	return time.Since(start).Seconds() / (reps * batch)
 }

@@ -22,10 +22,13 @@
 // (type fe): stack-allocated values, no per-operation heap allocation and
 // no big.Int Mod calls. The towers Fp2/Fp6/Fp12 (fe2/fe6/fe12), the curve
 // groups, and the Miller loop (Jacobian coordinates, inversion-free line
-// construction) are all built on fe. Montgomery form is strictly internal:
-// values convert at the marshaling boundary (feFromBig/feSetBytes on the
-// way in, feToBig/feBytes on the way out), so every wire encoding is
-// byte-identical to the original big.Int implementation.
+// construction) are all built on fe. The fe kernel takes no branch on an
+// operand: reductions select between candidates with a borrow mask, and
+// the multiply is a fused CIOS Montgomery loop over constant modulus limbs.
+// Montgomery form is strictly internal: values convert at the marshaling
+// boundary (feFromBig/feSetBytes on the way in, feToBig/feBytes on the way
+// out), so every wire encoding is byte-identical to the original big.Int
+// implementation.
 //
 // The original math/big implementation is retained in the ref_* files and
 // fp*.go (types refG1/refG2/refGT, helpers fpAdd/fpMul/...) as an
@@ -180,36 +183,6 @@ func init() {
 	if rem.Sign() != 0 {
 		panic("bn254: Order does not divide p^12 - 1")
 	}
-}
-
-// Montgomery-domain constants for the limb backend, derived from P at
-// startup (self-deriving keeps them auditable — there are no magic limb
-// literals to trust).
-var feP, feNP, feR2, feOne = feDeriveConstants()
-
-// feDeriveConstants computes the modulus limbs, −P⁻¹ mod 2⁶⁴, R² mod P,
-// and R mod P (the Montgomery image of 1) from the big.Int modulus.
-func feDeriveConstants() (p fe, np uint64, r2, one fe) {
-	toLimbs := func(x *big.Int) (out fe) {
-		if x.BitLen() > 256 {
-			panic("bn254: constant exceeds four limbs")
-		}
-		feRawFromBig(&out, x)
-		return
-	}
-	p = toLimbs(P)
-	// Newton iteration for P⁻¹ mod 2⁶⁴; five steps double the precision
-	// past 64 bits.
-	inv := uint64(1)
-	for i := 0; i < 6; i++ {
-		inv *= 2 - p[0]*inv
-	}
-	np = -inv
-	r := new(big.Int).Lsh(big.NewInt(1), 256)
-	one = toLimbs(new(big.Int).Mod(r, P))
-	r2big := new(big.Int).Lsh(big.NewInt(1), 512)
-	r2 = toLimbs(r2big.Mod(r2big, P))
-	return
 }
 
 // feCurveB is curveB (= 3) in Montgomery form.

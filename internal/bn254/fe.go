@@ -20,179 +20,218 @@ import (
 // pairing hot path.
 type fe [4]uint64
 
-// feAdd sets z = x + y mod P.
+// The modulus P as little-endian limbs, and −P⁻¹ mod 2⁶⁴. They are
+// constants so the kernel's products take immediates instead of loads;
+// TestFeConstantsMatchDerivation pins them, with feR2 and feOne, against
+// a derivation from the big.Int modulus.
+const (
+	feP0 = 0x3c208c16d87cfd47
+	feP1 = 0x97816a916871ca8d
+	feP2 = 0xb85045b68181585d
+	feP3 = 0x30644e72e131a029
+	feNP = 0x87d20782e4866389
+)
+
+var (
+	// feR2 is R² mod P, which carries a raw value into Montgomery form.
+	feR2 = fe{0xf32cfc5b538afa89, 0xb5e71911d44501fb, 0x47ab1eff0a417ff6, 0x06d89f71cab8351f}
+	// feOne is R mod P, the Montgomery image of 1.
+	feOne = fe{0xd35d438dc58f0d9d, 0x0a78eb28f5c70b3d, 0x666ea36f7879462c, 0x0e0a77c19a07df2f}
+)
+
+// The kernel below has no branch that depends on an operand: every
+// reduction computes both candidates and selects one with a mask made from
+// the borrow. Secret scalars and IBE keys pass through it, and a branch on
+// the borrow also mispredicts about half the time.
+
+// feCondSubP returns t − P if t ≥ P and t otherwise, for t < 2P given as
+// four limbs. It is small enough for the compiler to inline.
+func feCondSubP(t0, t1, t2, t3 uint64) (r0, r1, r2, r3 uint64) {
+	s0, b := bits.Sub64(t0, feP0, 0)
+	s1, b := bits.Sub64(t1, feP1, b)
+	s2, b := bits.Sub64(t2, feP2, b)
+	s3, b := bits.Sub64(t3, feP3, b)
+	keep := -b // all ones when t < P
+	return s0 ^ keep&(s0^t0), s1 ^ keep&(s1^t1), s2 ^ keep&(s2^t2), s3 ^ keep&(s3^t3)
+}
+
+// feAdd sets z = x + y mod P. x, y < P < 2²⁵⁴, so the sum has no carry out.
 func feAdd(z, x, y *fe) {
 	t0, c := bits.Add64(x[0], y[0], 0)
 	t1, c := bits.Add64(x[1], y[1], c)
 	t2, c := bits.Add64(x[2], y[2], c)
 	t3, _ := bits.Add64(x[3], y[3], c)
-	// x, y < P < 2²⁵⁴ so the sum fits without a carry out; one trial
-	// subtraction both detects and performs the reduction.
-	s0, b := bits.Sub64(t0, feP[0], 0)
-	s1, b := bits.Sub64(t1, feP[1], b)
-	s2, b := bits.Sub64(t2, feP[2], b)
-	s3, b := bits.Sub64(t3, feP[3], b)
-	if b == 0 {
-		z[0], z[1], z[2], z[3] = s0, s1, s2, s3
-	} else {
-		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
-	}
+	z[0], z[1], z[2], z[3] = feCondSubP(t0, t1, t2, t3)
+}
+
+// feAddLazy sets z = x + y without the reduction. For x, y < P the sum is
+// below 2P, which feMul accepts as an operand.
+func feAddLazy(z, x, y *fe) {
+	var c uint64
+	z[0], c = bits.Add64(x[0], y[0], 0)
+	z[1], c = bits.Add64(x[1], y[1], c)
+	z[2], c = bits.Add64(x[2], y[2], c)
+	z[3], _ = bits.Add64(x[3], y[3], c)
 }
 
 // feDouble sets z = 2x mod P.
-func feDouble(z, x *fe) { feAdd(z, x, x) }
+func feDouble(z, x *fe) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	z[0], z[1], z[2], z[3] = feCondSubP(x0<<1, x1<<1|x0>>63, x2<<1|x1>>63, x3<<1|x2>>63)
+}
 
 // feReduce conditionally subtracts P once, for values in [0, 2P).
-func feReduce(z *fe) {
-	s0, b := bits.Sub64(z[0], feP[0], 0)
-	s1, b := bits.Sub64(z[1], feP[1], b)
-	s2, b := bits.Sub64(z[2], feP[2], b)
-	s3, b := bits.Sub64(z[3], feP[3], b)
-	if b == 0 {
-		z[0], z[1], z[2], z[3] = s0, s1, s2, s3
-	}
-}
+func feReduce(z *fe) { z[0], z[1], z[2], z[3] = feCondSubP(z[0], z[1], z[2], z[3]) }
 
 // feLessThanP reports whether z < P.
 func feLessThanP(z *fe) bool {
-	var b uint64
-	_, b = bits.Sub64(z[0], feP[0], 0)
-	_, b = bits.Sub64(z[1], feP[1], b)
-	_, b = bits.Sub64(z[2], feP[2], b)
-	_, b = bits.Sub64(z[3], feP[3], b)
+	_, b := bits.Sub64(z[0], feP0, 0)
+	_, b = bits.Sub64(z[1], feP1, b)
+	_, b = bits.Sub64(z[2], feP2, b)
+	_, b = bits.Sub64(z[3], feP3, b)
 	return b == 1
 }
 
-// feSub sets z = x − y mod P.
+// feSub sets z = x − y mod P, adding P back under a mask of the borrow.
 func feSub(z, x, y *fe) {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], feP[0], 0)
-		z[1], c = bits.Add64(z[1], feP[1], c)
-		z[2], c = bits.Add64(z[2], feP[2], c)
-		z[3], _ = bits.Add64(z[3], feP[3], c)
-	}
+	d0, b := bits.Sub64(x[0], y[0], 0)
+	d1, b := bits.Sub64(x[1], y[1], b)
+	d2, b := bits.Sub64(x[2], y[2], b)
+	d3, b := bits.Sub64(x[3], y[3], b)
+	mask := -b
+	var c uint64
+	z[0], c = bits.Add64(d0, feP0&mask, 0)
+	z[1], c = bits.Add64(d1, feP1&mask, c)
+	z[2], c = bits.Add64(d2, feP2&mask, c)
+	z[3], _ = bits.Add64(d3, feP3&mask, c)
 }
 
-// feNeg sets z = −x mod P.
-func feNeg(z, x *fe) {
-	if x.IsZero() {
-		*z = fe{}
-		return
-	}
-	var b uint64
-	z[0], b = bits.Sub64(feP[0], x[0], 0)
-	z[1], b = bits.Sub64(feP[1], x[1], b)
-	z[2], b = bits.Sub64(feP[2], x[2], b)
-	z[3], _ = bits.Sub64(feP[3], x[3], b)
-}
+// feNeg sets z = −x mod P; 0 − 0 borrows nothing, so zero maps to zero.
+func feNeg(z, x *fe) { feSub(z, &fe{}, x) }
 
-// feMul sets z = x·y·R⁻¹ mod P: the Montgomery product. It computes the
-// full 512-bit product (operand scanning, fully unrolled) and then applies
-// word-by-word Montgomery reduction; inputs and output are fully reduced.
-// Per row the invariant is textbook: x_i·y_j + t_{i+j} + carry < 2¹²⁸, so
-// the high word never overflows when the two add-carries fold in.
+// feMul sets z = x·y·R⁻¹ mod P, the Montgomery product, by coarsely
+// integrated operand scanning (CIOS). Each row adds x·y_i into the running
+// value t, then takes one Montgomery step: it adds m·P with
+// m = t0·(−P⁻¹) mod 2⁶⁴, which zeroes the low limb, and shifts down a
+// limb. P's top limb is below 2⁶², so the running value fits in four limbs
+// plus the row's carry word a, with no sixth overflow word (the "no-carry"
+// variant). The additions are unbroken Add64 chains, so the compiler keeps
+// each carry in the flags instead of materialising it; unrolling the rows
+// measured no faster.
+//
+// Inputs need only be below 2P, not fully reduced: since 4P < R,
+// (x·y + M·P)/R < 4P²/R + P < 2P, so the final conditional subtraction
+// still yields a fully reduced z. z may alias x or y.
 func feMul(z, x, y *fe) {
-	var t [8]uint64
-	var carry, c, hi, lo uint64
-
-	// Row 0: t = x0·y.
-	hi, t[0] = bits.Mul64(x[0], y[0])
-	carry = hi
-	hi, lo = bits.Mul64(x[0], y[1])
-	t[1], c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x[0], y[2])
-	t[2], c = bits.Add64(lo, carry, 0)
-	carry = hi + c
-	hi, lo = bits.Mul64(x[0], y[3])
-	t[3], c = bits.Add64(lo, carry, 0)
-	t[4] = hi + c
-
-	// Rows 1-3: t += x_i·y << 64i.
-	for i := 1; i < 4; i++ {
-		xi := x[i]
-		hi, lo = bits.Mul64(xi, y[0])
-		lo, c = bits.Add64(lo, t[i], 0)
-		hi += c
-		t[i] = lo
-		carry = hi
-		hi, lo = bits.Mul64(xi, y[1])
-		lo, c = bits.Add64(lo, t[i+1], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+1] = lo
-		carry = hi
-		hi, lo = bits.Mul64(xi, y[2])
-		lo, c = bits.Add64(lo, t[i+2], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+2] = lo
-		carry = hi
-		hi, lo = bits.Mul64(xi, y[3])
-		lo, c = bits.Add64(lo, t[i+3], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+3] = lo
-		t[i+4] = hi
-	}
-	feMontReduce(z, &t)
-}
-
-// feSquare sets z = x²·R⁻¹ mod P.
-func feSquare(z, x *fe) { feMul(z, x, x) }
-
-// feMontReduce folds a 512-bit value t into z = t·R⁻¹ mod P. For inputs
-// t < P·2²⁵⁶ (every product of reduced elements qualifies) the result
-// fits in four limbs before the final conditional subtraction. Each round
-// zeroes limb i by adding m·P with m = t_i·(−P⁻¹) mod 2⁶⁴; the round's
-// carry lands on limb i+4 and the single carry bit e chains upward.
-func feMontReduce(z *fe, t *[8]uint64) {
-	var e, carry, c, hi, lo uint64
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var t0, t1, t2, t3, a, c, m uint64
+	var u0, u1, u2, u3, l0, l1, l2, l3 uint64
 	for i := 0; i < 4; i++ {
-		m := t[i] * feNP
-		hi, lo = bits.Mul64(m, feP[0])
-		_, c = bits.Add64(lo, t[i], 0) // low limb cancels by construction
-		carry = hi + c
-		hi, lo = bits.Mul64(m, feP[1])
-		lo, c = bits.Add64(lo, t[i+1], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+1] = lo
-		carry = hi
-		hi, lo = bits.Mul64(m, feP[2])
-		lo, c = bits.Add64(lo, t[i+2], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+2] = lo
-		carry = hi
-		hi, lo = bits.Mul64(m, feP[3])
-		lo, c = bits.Add64(lo, t[i+3], 0)
-		hi += c
-		lo, c = bits.Add64(lo, carry, 0)
-		hi += c
-		t[i+3] = lo
-		t[i+4], e = bits.Add64(t[i+4], hi, e)
+		yi := y[i]
+		u0, l0 = bits.Mul64(x0, yi)
+		u1, l1 = bits.Mul64(x1, yi)
+		u2, l2 = bits.Mul64(x2, yi)
+		u3, l3 = bits.Mul64(x3, yi)
+		t0, c = bits.Add64(t0, l0, 0)
+		t1, c = bits.Add64(t1, l1, c)
+		t2, c = bits.Add64(t2, l2, c)
+		t3, c = bits.Add64(t3, l3, c)
+		a, _ = bits.Add64(u3, 0, c)
+		t1, c = bits.Add64(t1, u0, 0)
+		t2, c = bits.Add64(t2, u1, c)
+		t3, c = bits.Add64(t3, u2, c)
+		a, _ = bits.Add64(a, 0, c)
+
+		m = t0 * feNP
+		u0, l0 = bits.Mul64(m, feP0)
+		u1, l1 = bits.Mul64(m, feP1)
+		u2, l2 = bits.Mul64(m, feP2)
+		u3, l3 = bits.Mul64(m, feP3)
+		_, c = bits.Add64(t0, l0, 0)
+		t0, c = bits.Add64(t1, l1, c)
+		t1, c = bits.Add64(t2, l2, c)
+		t2, c = bits.Add64(t3, l3, c)
+		t3, _ = bits.Add64(a, 0, c)
+		t0, c = bits.Add64(t0, u0, 0)
+		t1, c = bits.Add64(t1, u1, c)
+		t2, c = bits.Add64(t2, u2, c)
+		t3, _ = bits.Add64(t3, u3, c)
 	}
-	z[0], z[1], z[2], z[3] = t[4], t[5], t[6], t[7]
-	feReduce(z)
+	z[0], z[1], z[2], z[3] = feCondSubP(t0, t1, t2, t3)
 }
 
-// feFromMont leaves the Montgomery domain: z = x·R⁻¹ mod P.
-func feFromMont(z, x *fe) {
-	t := [8]uint64{x[0], x[1], x[2], x[3]}
-	feMontReduce(z, &t)
+// feSquare sets z = x²·R⁻¹ mod P. It forms the 512-bit square r from the
+// six cross products, doubled, and the four diagonal ones: ten multiplies
+// instead of sixteen. Four Montgomery steps then take r's low half L to
+// (L + M·P)/R ≤ P, and adding the high half ⌊x²/R⌋ < P/4 gives
+// (r + M·P)/R < 2P, so one conditional subtraction finishes.
+func feSquare(z, x *fe) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var r0, r1, r2, r3, r4, r5, r6, r7, c, m uint64
+	var u0, u1, u2, u3, l0, l1, l2, l3 uint64
+
+	u0, r1 = bits.Mul64(x0, x1)
+	u1, l1 = bits.Mul64(x0, x2)
+	u2, l2 = bits.Mul64(x0, x3)
+	r2, c = bits.Add64(l1, u0, 0)
+	r3, c = bits.Add64(l2, u1, c)
+	r4, _ = bits.Add64(u2, 0, c)
+	u0, l0 = bits.Mul64(x1, x2)
+	u1, l1 = bits.Mul64(x1, x3)
+	r3, c = bits.Add64(r3, l0, 0)
+	r4, c = bits.Add64(r4, l1, c)
+	r5, _ = bits.Add64(u1, 0, c)
+	r4, c = bits.Add64(r4, u0, 0)
+	u2, l2 = bits.Mul64(x2, x3)
+	r5, c = bits.Add64(r5, l2, c)
+	r6, _ = bits.Add64(u2, 0, c)
+
+	r7 = r6 >> 63
+	r6 = r6<<1 | r5>>63
+	r5 = r5<<1 | r4>>63
+	r4 = r4<<1 | r3>>63
+	r3 = r3<<1 | r2>>63
+	r2 = r2<<1 | r1>>63
+	r1 <<= 1
+
+	u0, r0 = bits.Mul64(x0, x0)
+	u1, l1 = bits.Mul64(x1, x1)
+	u2, l2 = bits.Mul64(x2, x2)
+	u3, l3 = bits.Mul64(x3, x3)
+	r1, c = bits.Add64(r1, u0, 0)
+	r2, c = bits.Add64(r2, l1, c)
+	r3, c = bits.Add64(r3, u1, c)
+	r4, c = bits.Add64(r4, l2, c)
+	r5, c = bits.Add64(r5, u2, c)
+	r6, c = bits.Add64(r6, l3, c)
+	r7, _ = bits.Add64(r7, u3, c)
+
+	for i := 0; i < 4; i++ {
+		m = r0 * feNP
+		u0, l0 = bits.Mul64(m, feP0)
+		u1, l1 = bits.Mul64(m, feP1)
+		u2, l2 = bits.Mul64(m, feP2)
+		u3, l3 = bits.Mul64(m, feP3)
+		_, c = bits.Add64(r0, l0, 0)
+		r0, c = bits.Add64(r1, l1, c)
+		r1, c = bits.Add64(r2, l2, c)
+		r2, c = bits.Add64(r3, l3, c)
+		r3 = c
+		r0, c = bits.Add64(r0, u0, 0)
+		r1, c = bits.Add64(r1, u1, c)
+		r2, c = bits.Add64(r2, u2, c)
+		r3, _ = bits.Add64(r3, u3, c)
+	}
+	r0, c = bits.Add64(r0, r4, 0)
+	r1, c = bits.Add64(r1, r5, c)
+	r2, c = bits.Add64(r2, r6, c)
+	r3, _ = bits.Add64(r3, r7, c)
+	z[0], z[1], z[2], z[3] = feCondSubP(r0, r1, r2, r3)
 }
+
+// feFromMont leaves the Montgomery domain: z = x·R⁻¹ mod P, a Montgomery
+// product with the raw integer 1.
+func feFromMont(z, x *fe) { feMul(z, x, &fe{1}) }
 
 // IsZero reports whether the element is zero (in either domain).
 func (x *fe) IsZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
@@ -317,11 +356,30 @@ func feMulBy3(z, x *fe) {
 	feAdd(z, &t, x)
 }
 
-// feMulBy9 sets z = 9x = 8x + x.
+// feMulBy9 sets z = 9x mod P. It forms 9x = 8x + x as a five-limb value t
+// below 9P < 2²⁵⁷, subtracts q·P for a quotient estimate q read off t's
+// top bits, and finishes with one conditional subtraction.
 func feMulBy9(z, x *fe) {
-	var t fe
-	feDouble(&t, x)
-	feDouble(&t, &t)
-	feDouble(&t, &t)
-	feAdd(z, &t, x)
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	t0, c := bits.Add64(x0<<3, x0, 0)
+	t1, c := bits.Add64(x1<<3|x0>>61, x1, c)
+	t2, c := bits.Add64(x2<<3|x1>>61, x2, c)
+	t3, c := bits.Add64(x3<<3|x2>>61, x3, c)
+	t4 := x3>>61 + c
+	// q = ⌊t/2²²⁴⌋ / (⌊P/2²²⁴⌋ + 1) is at most ⌊t/P⌋ and, with
+	// P/2²²⁴ ≈ 8·10⁸, at most one below it, so t − q·P < 2P. The divisor
+	// is a constant, which the compiler turns into a multiply.
+	q := (t4<<32 | t3>>32) / (feP3>>32 + 1)
+	u0, l0 := bits.Mul64(q, feP0)
+	u1, l1 := bits.Mul64(q, feP1)
+	u2, l2 := bits.Mul64(q, feP2)
+	l3 := q * feP3 // q·P's fifth limb cancels t4, since t − q·P < 2P
+	l1, c = bits.Add64(l1, u0, 0)
+	l2, c = bits.Add64(l2, u1, c)
+	l3, _ = bits.Add64(l3, u2, c)
+	t0, b := bits.Sub64(t0, l0, 0)
+	t1, b = bits.Sub64(t1, l1, b)
+	t2, b = bits.Sub64(t2, l2, b)
+	t3, _ = bits.Sub64(t3, l3, b)
+	z[0], z[1], z[2], z[3] = feCondSubP(t0, t1, t2, t3)
 }

@@ -71,14 +71,15 @@ func (e *fe2) Conjugate(a *fe2) *fe2 {
 }
 
 // Mul sets e = a·b = (a0b0 − a1b1) + (a0b1 + a1b0)·i, computed with
-// Karatsuba (three base-field multiplications). Receiver may alias either
-// operand.
+// Karatsuba (three base-field multiplications). The sums a0+a1 and b0+b1
+// stay unreduced, below 2P, which feMul accepts as operands. Receiver may
+// alias either operand.
 func (e *fe2) Mul(a, b *fe2) *fe2 {
 	var t0, t1, sa, sb, cross fe
 	feMul(&t0, &a.c0, &b.c0)
 	feMul(&t1, &a.c1, &b.c1)
-	feAdd(&sa, &a.c0, &a.c1)
-	feAdd(&sb, &b.c0, &b.c1)
+	feAddLazy(&sa, &a.c0, &a.c1)
+	feAddLazy(&sb, &b.c0, &b.c1)
 	feMul(&cross, &sa, &sb)
 	feSub(&e.c0, &t0, &t1)
 	feSub(&cross, &cross, &t0)
@@ -93,10 +94,11 @@ func (e *fe2) MulFe(a *fe2, k *fe) *fe2 {
 	return e
 }
 
-// Square sets e = a² = (a0+a1)(a0−a1) + 2a0a1·i.
+// Square sets e = a² = (a0+a1)(a0−a1) + 2a0a1·i, with a0+a1 unreduced
+// (below 2P) as in Mul.
 func (e *fe2) Square(a *fe2) *fe2 {
 	var sum, diff, t1 fe
-	feAdd(&sum, &a.c0, &a.c1)
+	feAddLazy(&sum, &a.c0, &a.c1)
 	feSub(&diff, &a.c0, &a.c1)
 	feMul(&t1, &a.c0, &a.c1)
 	feMul(&e.c0, &sum, &diff)

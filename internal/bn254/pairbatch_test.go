@@ -297,7 +297,10 @@ func TestPairBatchAllocations(t *testing.T) {
 // TestCombSpeedupPin is the regression guard for the fixed-base comb
 // tables: ScalarBaseMult must beat the generic ladder by at least 3x on
 // both G1 and G2 on the same machine (measured ~4-5x; the floor leaves a
-// non-flakiness margin). Skipped in -short mode like the backend pin.
+// non-flakiness margin). Comb and ladder run interleaved (interleavedBest)
+// because a G1 comb multiplication takes only ~35 µs: timed back to back,
+// one co-tenant burst could cover every comb trial and none of the
+// ladder's. Skipped in -short mode like the backend pin.
 func TestCombSpeedupPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("relative perf pin skipped in -short mode")
@@ -308,24 +311,15 @@ func TestCombSpeedupPin(t *testing.T) {
 	}
 	g1Comb() // exclude lazy table construction from the timing
 	g2Comb()
-	best := func(n int, f func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
 	const trials = 20
 	var p1 G1
 	var p2 G2
-	comb1 := best(trials, func() { p1.ScalarBaseMult(k) })
-	ladder1 := best(trials, func() { p1.ScalarMult(G1Generator(), k) })
-	comb2 := best(trials, func() { p2.ScalarBaseMult(k) })
-	ladder2 := best(trials, func() { p2.ScalarMult(G2Generator(), k) })
+	comb1, ladder1 := interleavedBest(trials,
+		func() { p1.ScalarBaseMult(k) },
+		func() { p1.ScalarMult(G1Generator(), k) })
+	comb2, ladder2 := interleavedBest(trials,
+		func() { p2.ScalarBaseMult(k) },
+		func() { p2.ScalarMult(G2Generator(), k) })
 
 	const floor = 3
 	if comb1*floor > ladder1 {
@@ -365,8 +359,9 @@ func interleavedBest(n int, a, b func()) (bestA, bestB time.Duration) {
 // target is 1.5x and the measured ratio is ~1.6x; the pin floor is 1.3x
 // so scheduler noise cannot flake the suite while a real regression (a
 // lost ψ check or a fallback to the generic hard part) still trips it.
-// The two paths run interleaved and each keeps its fastest of 15 runs,
-// so a co-tenant loading the CPU slows both sides alike. Skipped in
+// The two paths run interleaved and each keeps its fastest of 30 runs,
+// so a co-tenant loading the CPU slows both sides alike (15 runs failed
+// about one test in forty under a parallel `go test ./...`). Skipped in
 // -short mode.
 func TestPairBatchSpeedupPin(t *testing.T) {
 	if testing.Short() {
@@ -390,7 +385,7 @@ func TestPairBatchSpeedupPin(t *testing.T) {
 	ok := make([]bool, n)
 	scratch := NewPairScratch(n)
 
-	batched, scalar := interleavedBest(15,
+	batched, scalar := interleavedBest(30,
 		func() { pre.PairBatch(raws, dst, ok, scratch) },
 		func() {
 			for _, raw := range raws {

@@ -73,6 +73,10 @@ func (c *Client) SubmitAddFriendRound(ctx context.Context, round uint32) error {
 	if commit != nil {
 		commit()
 	}
+	// The round loop scans only the round it submitted last (see
+	// discardStaleRoundKeys), so older add-friend settings are dead weight;
+	// a caller that scans an older round anyway re-fetches them.
+	c.dropSettingsBefore(wire.AddFriend, round)
 	return nil
 }
 

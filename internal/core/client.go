@@ -448,6 +448,22 @@ func (c *Client) cacheSettings(rs *wire.RoundSettings) {
 	}
 }
 
+// dropSettingsBefore evicts the cached settings of the service's rounds
+// below round.
+func (c *Client) dropSettingsBefore(service wire.Service, round uint32) {
+	c.settingsMu.Lock()
+	defer c.settingsMu.Unlock()
+	kept := c.settingsOrder[:0]
+	for _, key := range c.settingsOrder {
+		if key.service == service && key.round < round {
+			delete(c.settingsCache, key)
+		} else {
+			kept = append(kept, key)
+		}
+	}
+	c.settingsOrder = kept
+}
+
 // noteAnnouncedSettings verifies and caches settings that rode a
 // round-open announcement. The push channel is untrusted either way, so a
 // copy that is inconsistent or fails signature verification is simply

@@ -104,3 +104,54 @@ func TestSettingsCachedPerRound(t *testing.T) {
 		t.Fatalf("feed-driven rounds added %d settings fetches, want 0 (settings ride the announcements)", got-2)
 	}
 }
+
+// TestAddFriendSubmitDropsOlderSettings pins the add-friend side of the
+// cache: submitting a round evicts the settings of earlier add-friend
+// rounds, so a client's cache does not grow with every round it joins. A
+// scan of an older round still works, through one re-fetch.
+func TestAddFriendSubmitDropsOlderSettings(t *testing.T) {
+	network, err := sim.NewNetwork(sim.Config{NumPKGs: 1, NumMixers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := network.ClientConfig("drop@example.org", &sim.Handler{AcceptAll: true})
+	ce := &settingsCountingEntry{EntryAdapter: sim.EntryAdapter{E: network.Entry}}
+	cfg.Entry = ce
+	client, err := core.NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := client.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := network.ConfirmAll(client); err != nil {
+		t.Fatal(err)
+	}
+	for r := uint32(1); r <= 2; r++ {
+		if _, err := network.Coord.OpenAddFriendRound(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.SubmitAddFriendRound(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := network.Coord.CloseRound(wire.AddFriend, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ce.settingsCalls.Load(); got != 2 {
+		t.Fatalf("two submits made %d settings fetches, want 2", got)
+	}
+	if err := client.ScanAddFriendRound(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := ce.settingsCalls.Load(); got != 2 {
+		t.Fatalf("scanning the last submitted round fetched settings (%d fetches, want 2)", got)
+	}
+	if err := client.ScanAddFriendRound(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := ce.settingsCalls.Load(); got != 3 {
+		t.Fatalf("scanning an older round made %d settings fetches, want 3 (its settings were dropped)", got)
+	}
+}

@@ -374,6 +374,7 @@ func (m *MixerClient) OpenRoute(service wire.Service, round uint32, spec wire.Ro
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
 		MergeAddr: spec.MergeAddr, Successors: spec.Successors,
 		NumUpstream: spec.NumUpstream, BuildShards: spec.BuildShards,
+		DeadlineMs: spec.DeadlineMs,
 	}, nil)
 }
 

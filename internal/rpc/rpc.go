@@ -11,6 +11,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -38,17 +39,79 @@ type response struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxMessageSize {
+// resultPrefix and resultSuffix enclose a successful reply's result:
+// json.Marshal(response{Result: raw}) is exactly resultPrefix, raw,
+// resultSuffix when raw is json.Marshal output.
+var (
+	resultPrefix = []byte(`{"result":`)
+	resultSuffix = []byte(`}`)
+)
+
+// writeFrame writes one length-prefixed frame whose payload is the
+// concatenation of parts, in a single vectored write on a TCP connection.
+func writeFrame(w io.Writer, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxMessageSize {
 		return errors.New("rpc: message too large")
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := make([]byte, 4)
+	binary.BigEndian.PutUint32(hdr, uint32(n))
+	bufs := append(net.Buffers{hdr}, parts...)
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// responseParts encodes one reply as payload parts for writeFrame. A
+// result goes out as json.Marshal encoded it, between resultPrefix and
+// resultSuffix: marshalling it inside response would copy and re-scan it
+// (a json.RawMessage is compacted and HTML-escaped again) only to produce
+// the same bytes. Errors and empty replies go through json.Marshal.
+func responseParts(result any, herr error) ([][]byte, error) {
+	if herr == nil && result != nil {
+		raw, err := json.Marshal(result)
+		if err == nil {
+			return [][]byte{resultPrefix, raw, resultSuffix}, nil
+		}
+		herr = fmt.Errorf("rpc: encoding result: %v", err)
+	}
+	var resp response
+	if herr != nil {
+		resp.Error = herr.Error()
+	}
+	out, err := json.Marshal(resp)
+	return [][]byte{out}, err
+}
+
+// decodeResponse decodes one reply payload into result (which may be
+// nil). Every successful reply is resultPrefix, one JSON value,
+// resultSuffix, so the value is sliced out and decoded in place rather
+// than through response, whose json.RawMessage would copy it. If the slice
+// is not one valid JSON value (a SyntaxError, reported before anything is
+// decoded) or the payload has any other shape, json.Unmarshal of the whole
+// payload decides, so both paths agree on every frame.
+func decodeResponse(payload []byte, result any) error {
+	if result != nil && bytes.HasPrefix(payload, resultPrefix) && bytes.HasSuffix(payload, resultSuffix) {
+		raw := payload[len(resultPrefix) : len(payload)-len(resultSuffix)]
+		err := json.Unmarshal(raw, result)
+		var syntax *json.SyntaxError
+		if !errors.As(err, &syntax) {
+			return err
+		}
+	}
+	var resp response
+	if err := json.Unmarshal(payload, &resp); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	if resp.Error != "" {
+		return errors.New(resp.Error)
+	}
+	if result != nil && len(resp.Result) > 0 {
+		return json.Unmarshal(resp.Result, result)
+	}
+	return nil
 }
 
 func readFrame(r io.Reader) ([]byte, error) {
@@ -235,24 +298,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.mu.Unlock()
 
-		var resp response
+		var result any
+		var herr error
 		if h == nil {
-			resp.Error = "rpc: unknown method " + req.Method
-		} else if result, err := h(req.Params); err != nil {
-			resp.Error = err.Error()
-		} else if result != nil {
-			raw, err := json.Marshal(result)
-			if err != nil {
-				resp.Error = "rpc: encoding result: " + err.Error()
-			} else {
-				resp.Result = raw
-			}
+			herr = errors.New("rpc: unknown method " + req.Method)
+		} else {
+			result, herr = h(req.Params)
 		}
-		out, err := json.Marshal(resp)
+		parts, err := responseParts(result, herr)
 		if err != nil {
 			return
 		}
-		if err := writeFrame(conn, out); err != nil {
+		if err := writeFrame(conn, parts...); err != nil {
 			return
 		}
 	}
@@ -426,17 +483,7 @@ func (c *Client) call(ctx context.Context, method string, params any, result any
 			return fmt.Errorf("%w: reading from %s: %v", ErrTransport, c.addr, err)
 		}
 		c.addBytes(0, uint64(len(payload))+4)
-		var resp response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			return err
-		}
-		if resp.Error != "" {
-			return errors.New(resp.Error)
-		}
-		if result != nil && len(resp.Result) > 0 {
-			return json.Unmarshal(resp.Result, result)
-		}
-		return nil
+		return decodeResponse(payload, result)
 	}
 }
 
